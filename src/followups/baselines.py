@@ -49,13 +49,13 @@ def _weighted_draws(rng: random.Random, pool: list[tuple[int, int]], count: int)
 
 def random_baseline(index: PredicateIndex, k: int, l: int, seed: int) -> ExplanationSet:
     """k explanations of l distinct predicates each, drawn with probability
-    proportional to posting size. Fully determined by the seed."""
+    proportional to their cell counts. Fully determined by the seed."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if index.n_predicates < l:
         raise ConfigError(f"catalog has {index.n_predicates} predicates, need at least l={l}")
     rng = random.Random(seed)
-    weights = [(pid, len(index.postings[pid])) for pid in range(index.n_predicates)]
+    weights = [(pid, index.bits[pid].bit_count()) for pid in range(index.n_predicates)]
     unmarked = index.full_mask
     explanations = []
     for _ in range(k):

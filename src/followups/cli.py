@@ -6,13 +6,31 @@ Exit codes: 0 success, 2 parse/config error, 3 resource-guard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import harness, synth
-from .errors import ConfigError, FollowupsError, NotFoundError, ParseError, ResourceLimitError
+from .errors import ConfigError, FollowupsError, ParseError, ResourceLimitError
 from .featurization import TARGET_FOLLOWER, TARGET_INFLUENCER
+
+# `SynthConfig` fields `gen` exposes as options; their defaults are the
+# dataclass's, so `gen` and `write_dataset(SynthConfig(...))` agree.
+_GEN_FIELDS = (
+    "users",
+    "actions",
+    "seed",
+    "hubs",
+    "genres",
+    "directors",
+    "writers",
+    "follower_base",
+    "follower_skew",
+    "activity_skew",
+    "cascade_base",
+    "cascade_boost",
+)
 
 
 def _add_input_args(parser: argparse.ArgumentParser, attrs: bool) -> None:
@@ -77,18 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--users", type=int, default=1000)
-    p.add_argument("--actions", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hubs", type=int, default=12)
-    p.add_argument("--genres", type=int, default=12)
-    p.add_argument("--directors", type=int, default=45)
-    p.add_argument("--writers", type=int, default=45)
-    p.add_argument("--follower-base", type=float, default=0.03)
-    p.add_argument("--follower-skew", type=float, default=0.4)
-    p.add_argument("--activity-skew", type=float, default=0.25)
-    p.add_argument("--cascade-base", type=float, default=0.04)
-    p.add_argument("--cascade-boost", type=float, default=0.5)
+    defaults = {f.name: f.default for f in dataclasses.fields(synth.SynthConfig)}
+    for name in _GEN_FIELDS:
+        default = defaults[name]
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
     p = sub.add_parser("rank", help="rank influencers by followup count")
     _add_input_args(p, attrs=False)
@@ -125,20 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = synth.SynthConfig(
-        users=args.users,
-        actions=args.actions,
-        seed=args.seed,
-        hubs=args.hubs,
-        genres=args.genres,
-        directors=args.directors,
-        writers=args.writers,
-        follower_base=args.follower_base,
-        follower_skew=args.follower_skew,
-        activity_skew=args.activity_skew,
-        cascade_base=args.cascade_base,
-        cascade_boost=args.cascade_boost,
-    )
+    config = synth.SynthConfig(**{name: getattr(args, name) for name in _GEN_FIELDS})
     paths = synth.write_dataset(config, args.out)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -181,7 +178,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{args.input}: not an explanation JSON document: {exc}") from None
+    if not isinstance(doc, dict) or not doc.get("explanations"):
+        raise ParseError(f"{args.input}: no explanations to render")
     display = None
     if args.display:
         display = {}
@@ -213,13 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ConfigError, NotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FollowupsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FollowupsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, ParseError
@@ -59,6 +61,10 @@ class AttributeTable:
 
     def attributes_of(self, entity: Hashable) -> tuple[str, ...]:
         return tuple(sorted(self._rows.get(entity, ())))
+
+    def items(self, entity: Hashable):
+        """(attribute, values) pairs of one entity, in insertion order."""
+        return self._rows.get(entity, {}).items()
 
     def values(self, entity: Hashable, attribute: str) -> tuple:
         return self._rows.get(entity, {}).get(attribute, ())
@@ -139,7 +145,27 @@ class BinSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "BinSpec":
-        return cls(doc["attribute"], tuple(doc["boundaries"]), tuple(doc["labels"]))
+        """Raises ParseError unless `doc` is a well-formed bin spec."""
+        if not isinstance(doc, dict):
+            raise ParseError(f"bin spec must be an object, got {doc!r}")
+        missing = [key for key in ("attribute", "boundaries", "labels") if key not in doc]
+        if missing:
+            raise ParseError(f"bin spec {doc!r} lacks {', '.join(missing)}")
+        attribute, boundaries, labels = doc["attribute"], doc["boundaries"], doc["labels"]
+        if (
+            not isinstance(attribute, str)
+            or not isinstance(boundaries, list)
+            or not all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in boundaries)
+            or not isinstance(labels, list)
+            or not all(isinstance(label, str) for label in labels)
+        ):
+            raise ParseError(
+                f"bin spec {doc!r} needs a string attribute, numeric boundaries and string labels"
+            )
+        try:
+            return cls(attribute, tuple(boundaries), tuple(labels))
+        except ValueError as exc:
+            raise ParseError(f"bin spec for {attribute!r}: {exc}") from None
 
 
 def _format_cut(x: float) -> str:
@@ -223,9 +249,14 @@ class Predicate(NamedTuple):
 class PredicateIndex:
     """Inverted index from predicates to the cells that satisfy them.
 
-    Posting lists are ascending cell ids, mirrored as bitsets for fast
-    intersection; `cell_predicates` is the inverse map. Predicates that match
-    no cell never enter the catalog.
+    `bits[pid]` is the one representation of a predicate's cells: bit c is
+    set when cell c satisfies predicate pid. Predicates that match no cell
+    never enter the catalog.
+
+    `action_keys` and `user_keys` keep the build's per-entity predicate keys
+    `(dimension, attribute, value)` for the entities `miner.annotate` reads:
+    every action the influencer performed, and the active followers (or the
+    influencer alone under the influencer target).
     """
 
     def __init__(
@@ -236,8 +267,9 @@ class PredicateIndex:
         bins: Mapping[str, BinSpec],
         target: str,
         predicates: tuple[Predicate, ...],
-        postings: tuple[tuple[int, ...], ...],
-        cell_predicates: tuple[tuple[int, ...], ...],
+        bits: tuple[int, ...],
+        action_keys: Mapping[Hashable, frozenset],
+        user_keys: Mapping[Hashable, frozenset],
     ):
         self.followup_set = followup_set
         self.user_attrs = user_attrs
@@ -245,11 +277,11 @@ class PredicateIndex:
         self.bins = dict(bins)
         self.target = target
         self.predicates = predicates
-        self.postings = postings
-        self.cell_predicates = cell_predicates
+        self.bits = bits
+        self.action_keys = action_keys
+        self.user_keys = user_keys
         self.n_cells = len(followup_set)
         self.n_predicates = len(predicates)
-        self.bits = tuple(_bits_of(p) for p in postings)
         self.full_mask = (1 << self.n_cells) - 1
         self._pid_by_key = {(p.dimension, p.attribute, p.value): p.pid for p in predicates}
 
@@ -257,25 +289,16 @@ class PredicateIndex:
         return self._pid_by_key[(dimension, attribute, value)]
 
 
-def _bits_of(cells: Iterable[int]) -> int:
-    bits = 0
-    for c in cells:
-        bits |= 1 << c
-    return bits
-
-
 def _entity_predicate_keys(
     table: AttributeTable, entity: Hashable, dimension: str, bins: Mapping[str, BinSpec]
-) -> list[tuple[str, str, str]]:
+) -> frozenset[tuple[str, str, str]]:
     keys = []
-    for attribute in table.attributes_of(entity):
+    for attribute, values in table.items(entity):
         if attribute in table.numeric:
-            value = table.numeric_value(entity, attribute)
-            keys.append((dimension, attribute, bins[attribute].label_of(value)))
+            keys.append((dimension, attribute, bins[attribute].label_of(values[0])))
         else:
-            for value in table.values(entity, attribute):
-                keys.append((dimension, attribute, value))
-    return keys
+            keys += [(dimension, attribute, value) for value in values]
+    return frozenset(keys)
 
 
 def build_predicate_index(
@@ -290,6 +313,11 @@ def build_predicate_index(
     Action predicates test the cell's action; user predicates test the
     follower (or the influencer under the alternate target). Entities missing
     an attribute simply satisfy none of its predicates.
+
+    Keys are computed once per distinct action and user, not per cell. Each
+    run of consecutive cells sharing an action sets its action predicates'
+    bits as one slice, and each predicate's bitset is packed from a byte
+    buffer in one conversion.
     """
     if user_attrs.dimension != USER or action_attrs.dimension != ACTION:
         raise ConfigError("attribute tables passed with mismatched dimensions")
@@ -301,38 +329,67 @@ def build_predicate_index(
         if missing:
             raise ConfigError(f"no bin spec for numeric attribute(s): {', '.join(missing)}")
 
-    cell_keys: list[list[tuple[str, str, str]]] = []
-    for cell in fset.cells:
-        keys = _entity_predicate_keys(action_attrs, cell.action, ACTION, binmap)
-        user_entity = cell.follower if target == TARGET_FOLLOWER else fset.influencer
-        keys += _entity_predicate_keys(user_attrs, user_entity, USER, binmap)
-        cell_keys.append(keys)
+    cells = fset.cells
+    n = len(cells)
+    action_runs = []  # (action, start, stop) per run of cells sharing an action
+    start = 0
+    for action, group in groupby(cells, itemgetter(0)):
+        stop = start + len(list(group))
+        action_runs.append((action, start, stop))
+        start = stop
+    action_keys = {
+        a: _entity_predicate_keys(action_attrs, a, ACTION, binmap)
+        for a in dict.fromkeys([*fset.actions_performed, *(a for a, _, _ in action_runs)])
+    }
+    # key -> cell ranges [start, stop) it holds, and single cell ids it holds
+    ranges: dict[tuple, list[tuple[int, int]]] = {}
+    singles: dict[tuple, list[int]] = {}
+    for action, start, stop in action_runs:
+        for key in action_keys[action]:
+            ranges.setdefault(key, []).append((start, stop))
+    if target == TARGET_FOLLOWER:
+        user_keys = {v: _entity_predicate_keys(user_attrs, v, USER, binmap) for v in fset.active_followers}
+        cells_of: dict[int, list[int]] = {}
+        for cell_id, cell in enumerate(cells):
+            cells_of.setdefault(cell.follower, []).append(cell_id)
+        for v, cell_ids in cells_of.items():
+            for key in user_keys[v]:
+                singles.setdefault(key, []).extend(cell_ids)
+    else:
+        user_keys = {fset.influencer: _entity_predicate_keys(user_attrs, fset.influencer, USER, binmap)}
+        if n:
+            for key in user_keys[fset.influencer]:
+                ranges[key] = [(0, n)]
 
-    catalog = sorted({key for keys in cell_keys for key in keys})
-    pid_by_key = {key: pid for pid, key in enumerate(catalog)}
-    predicates = tuple(Predicate(pid, *key) for pid, key in enumerate(catalog))
-    posting_lists: list[list[int]] = [[] for _ in catalog]
-    cell_predicates = []
-    for cell_id, keys in enumerate(cell_keys):
-        pids = sorted(pid_by_key[key] for key in set(keys))
-        cell_predicates.append(tuple(pids))
-        for pid in pids:
-            posting_lists[pid].append(cell_id)
+    catalog = sorted(ranges.keys() | singles.keys())
+    zeros = b"0" * n
+    ones = memoryview(b"1" * n)
+    bits = []
+    for key in catalog:
+        # Bit c of the bitset is character n-1-c of its base-2 numeral.
+        buf = bytearray(zeros)
+        for lo, hi in ranges.get(key, ()):
+            buf[lo:hi] = ones[lo:hi]
+        for cell_id in singles.get(key, ()):
+            buf[cell_id] = 49  # ord("1")
+        buf.reverse()
+        bits.append(int(buf, 2))
     return PredicateIndex(
         fset,
         user_attrs,
         action_attrs,
         binmap,
         target,
-        predicates,
-        tuple(tuple(pl) for pl in posting_lists),
-        tuple(cell_predicates),
+        tuple(Predicate(pid, *key) for pid, key in enumerate(catalog)),
+        tuple(bits),
+        action_keys,
+        user_keys,
     )
 
 
 def predicate_popularity(index: PredicateIndex) -> list[tuple[int, int]]:
-    """Predicates by posting size, descending, ties by ascending id."""
-    sizes = [(pid, len(index.postings[pid])) for pid in range(index.n_predicates)]
+    """Predicates by cell count, descending, ties by ascending id."""
+    sizes = [(pid, index.bits[pid].bit_count()) for pid in range(index.n_predicates)]
     return sorted(sizes, key=lambda it: (-it[1], it[0]))
 
 
@@ -341,4 +398,11 @@ def bins_to_json(specs: Iterable[BinSpec]) -> str:
 
 
 def bins_from_json(text: str) -> list[BinSpec]:
-    return [BinSpec.from_dict(doc) for doc in json.loads(text)]
+    """Bin specs from `bins_to_json` output; raises ParseError on anything else."""
+    try:
+        docs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(docs, list):
+        raise ParseError("expected a JSON list of bin specs")
+    return [BinSpec.from_dict(doc) for doc in docs]

@@ -61,6 +61,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.k < 1 or self.l < 1 or self.top_n < 1:
             raise ConfigError("k, l and top_n must all be >= 1")
+        if self.nbins < 1:
+            raise ConfigError(f"nbins must be >= 1, got {self.nbins}")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
         for path in (self.graph, self.actions, self.user_attrs, self.action_attrs, self.bins):
@@ -76,30 +78,29 @@ def median(values: Sequence[float]):
     return ordered[(len(ordered) - 1) // 2]
 
 
-def load_graph(path: str | Path) -> SocialGraph:
+def _parse_file(path: str | Path, parse, *args):
+    """`parse(lines, *args)` over a UTF-8 text file; a ParseError names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse_social_graph(fh)
+            return parse(fh, *args)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_graph(path: str | Path) -> SocialGraph:
+    return _parse_file(path, parse_social_graph)
 
 
 def load_log(path: str | Path) -> ActionLog:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_action_log(fh)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    return _parse_file(path, parse_action_log)
 
 
 def load_table(path: str | Path | None, dimension: str) -> AttributeTable:
     if path is None:
         return AttributeTable(dimension)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return load_attribute_table(fh, dimension)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    return _parse_file(path, load_attribute_table, dimension)
 
 
 def prepare_bins(
@@ -165,7 +166,7 @@ def _load_all(config: RunConfig):
 
 def _resolve_bins(config: RunConfig, user_attrs, action_attrs, stats) -> list[BinSpec]:
     if config.bins is not None:
-        return bins_from_json(Path(config.bins).read_text(encoding="utf-8"))
+        return _parse_file(config.bins, lambda fh: bins_from_json(fh.read()))
     return prepare_bins(user_attrs, action_attrs, stats, config.nbins)
 
 
@@ -256,6 +257,8 @@ def sweep(
         raise ConfigError("sweep axis must be 'k' or 'l'")
     if not values or list(values) != sorted(values):
         raise ConfigError("sweep values must be non-empty and ascending")
+    if values[0] < 1:
+        raise ConfigError(f"sweep values must be >= 1, got {values[0]}")
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
@@ -269,6 +272,8 @@ def sweep(
         fset = compute_followup_set(graph, log, user, config.max_delay)
         indexes.append(build_predicate_index(fset, user_attrs, action_attrs, bins, config.target))
         result.influencers.append(user)
+    if not indexes:
+        raise ConfigError("no user has a followup, so there is nothing to sweep")
     for value in values:
         k = value if axis == "k" else config.k
         l = value if axis == "l" else config.l

@@ -2,7 +2,7 @@
 reference greedy, and per-explanation annotation statistics.
 
 An explanation is a conjunction of predicates; its cells are the intersection
-of their posting lists. A set of explanations covers the union of their cells.
+of their cell bitsets. A set of explanations covers the union of their cells.
 The miner greedily grows one explanation at a time, always appending the
 predicate with the largest marginal gain over the cells not yet covered by
 earlier explanations.
@@ -187,7 +187,7 @@ def coverage_of_set(index: PredicateIndex, explanations: Iterable[Iterable[int]]
 
 def _build_heap(index: PredicateIndex) -> list[LazyHeapEntry]:
     heap = [
-        LazyHeapEntry.make(pid, len(index.postings[pid]), 0)
+        LazyHeapEntry.make(pid, index.bits[pid].bit_count(), 0)
         for pid in range(index.n_predicates)
     ]
     heapq.heapify(heap)
@@ -341,40 +341,26 @@ def _finish(index: PredicateIndex, explanations: list[Explanation]) -> Explanati
     )
 
 
-def _satisfies(index: PredicateIndex, table, entity, predicate) -> bool:
-    if predicate.attribute in table.numeric:
-        value = table.numeric_value(entity, predicate.attribute)
-        if value is None:
-            return False
-        return index.bins[predicate.attribute].label_of(value) == predicate.value
-    return predicate.value in table.values(entity, predicate.attribute)
-
-
 def annotate(explanation: Explanation, index: PredicateIndex) -> Annotation:
     """Table-row statistics: how many of the influencer's actions satisfy the
     action predicates, how many active followers satisfy the user predicates,
     and the explanation's raw followup coverage.
 
     The two entity counts are independent of each other and of which cells
-    the explanation actually covers.
+    the explanation actually covers. An entity satisfies the predicates when
+    their keys are a subset of the keys the index build memoised for it.
     """
     fset = index.followup_set
     preds = [index.predicates[pid] for pid in explanation.predicates]
-    action_preds = [p for p in preds if p.dimension == ACTION]
-    user_preds = [p for p in preds if p.dimension == USER]
-    action_count = sum(
-        1
-        for a in fset.actions_performed
-        if all(_satisfies(index, index.action_attrs, a, p) for p in action_preds)
-    )
+    action_need = frozenset(p[1:] for p in preds if p.dimension == ACTION)
+    user_need = frozenset(p[1:] for p in preds if p.dimension == USER)
+    action_keys = index.action_keys
+    action_count = sum(1 for a in fset.actions_performed if action_need <= action_keys[a])
     if index.target == TARGET_FOLLOWER:
-        follower_count = sum(
-            1
-            for v in fset.active_followers
-            if all(_satisfies(index, index.user_attrs, v, p) for p in user_preds)
-        )
+        user_keys = index.user_keys
+        follower_count = sum(1 for v in fset.active_followers if user_need <= user_keys[v])
     else:
-        ok = all(_satisfies(index, index.user_attrs, fset.influencer, p) for p in user_preds)
+        ok = user_need <= index.user_keys[fset.influencer]
         follower_count = len(fset.active_followers) if ok else 0
     return Annotation(action_count, follower_count, explanation.raw_coverage)
 

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigError
+
 GENERATOR_VERSION = "synthgen-v1"
 
 GENDERS = ("female", "male")
@@ -43,6 +45,16 @@ class SynthConfig:
     taste_bias: float = 3.0
     max_hops: int = 3
     noise_performers: int = 2
+
+    def __post_init__(self):
+        if self.users < 1:
+            raise ConfigError(f"users must be >= 1, got {self.users}")
+        if not 1 <= self.hubs <= self.users:
+            raise ConfigError(f"hubs must be between 1 and users={self.users}, got {self.hubs}")
+        if self.genres < 2:
+            raise ConfigError(f"genres must be >= 2, got {self.genres}")
+        if self.directors < 1 or self.writers < 1:
+            raise ConfigError("directors and writers must be >= 1")
 
 
 @dataclass

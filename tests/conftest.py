@@ -1,4 +1,6 @@
-"""Shared helpers: hand-buildable indexes and seeded random instances."""
+"""Shared helpers: hand-buildable indexes, seeded random instances, and the
+per-cell oracles the factorised index build and `annotate` are checked
+against."""
 from __future__ import annotations
 
 import random
@@ -7,12 +9,66 @@ import pytest
 
 from followups.featurization import (
     ACTION,
+    TARGET_FOLLOWER,
     USER,
     AttributeTable,
     PredicateIndex,
     build_predicate_index,
 )
 from followups.ingestion import Cell, FollowupSet
+
+
+def postings_of(index: PredicateIndex) -> tuple[tuple[int, ...], ...]:
+    """Ascending cell ids of every predicate, decoded from `index.bits`."""
+    return tuple(
+        tuple(c for c in range(index.n_cells) if bits >> c & 1) for bits in index.bits
+    )
+
+
+def entity_keys(table: AttributeTable, entity, bins) -> list[tuple[str, str, str]]:
+    """Predicate keys an entity satisfies, read straight from its table."""
+    keys = []
+    for attribute in table.attributes_of(entity):
+        if attribute in table.numeric:
+            value = table.numeric_value(entity, attribute)
+            keys.append((table.dimension, attribute, bins[attribute].label_of(value)))
+        else:
+            keys += [(table.dimension, attribute, v) for v in table.values(entity, attribute)]
+    return keys
+
+
+def reference_predicate_index(fset, user_attrs, action_attrs, bins=(), target=TARGET_FOLLOWER):
+    """The per-cell index build: every cell's keys from the attribute tables,
+    then the sorted catalog and each predicate's ascending posting tuple."""
+    binmap = {spec.attribute: spec for spec in bins}
+    cell_keys = []
+    for cell in fset.cells:
+        user = cell.follower if target == TARGET_FOLLOWER else fset.influencer
+        cell_keys.append(
+            set(entity_keys(action_attrs, cell.action, binmap)) | set(entity_keys(user_attrs, user, binmap))
+        )
+    catalog = sorted(set().union(*cell_keys))
+    postings = tuple(
+        tuple(c for c, keys in enumerate(cell_keys) if key in keys) for key in catalog
+    )
+    return catalog, postings
+
+
+def scan_annotation(expl, index) -> tuple[int, int, int]:
+    """`annotate` by scanning the attribute tables entity by entity."""
+    fset = index.followup_set
+    preds = [index.predicates[p] for p in expl.predicates]
+
+    def sat(table, entity, dimension):
+        keys = entity_keys(table, entity, index.bins)
+        return all((p.dimension, p.attribute, p.value) in keys for p in preds if p.dimension == dimension)
+
+    actions = sum(1 for a in fset.actions_performed if sat(index.action_attrs, a, ACTION))
+    if index.target == TARGET_FOLLOWER:
+        followers = sum(1 for v in fset.active_followers if sat(index.user_attrs, v, USER))
+    else:
+        followers = len(fset.active_followers) if sat(index.user_attrs, fset.influencer, USER) else 0
+    return actions, followers, expl.raw_coverage
 
 
 def index_from_postings(postings: list[list[int]], n_cells: int | None = None) -> PredicateIndex:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import index_from_postings, random_attribute_instance
+from conftest import index_from_postings, postings_of, random_attribute_instance
 from test_ingestion import oracle_followups, random_instance
 
 from followups import harness
@@ -203,7 +203,7 @@ def test_criterion_4_subset_intersection_equivalence_at_k1():
         rng = random.Random(33_000 + i)
         l = rng.randint(1, 3)
         index = random_tiny_index(rng, max_predicates=12)
-        families = [frozenset(p) for p in index.postings]
+        families = [frozenset(p) for p in postings_of(index)]
         expected = max_l_subset_intersection(families, l)
         got, _ = brute_force_oracle(index, 1, l)
         if got != expected:

@@ -4,7 +4,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from followups import harness
 from followups.cli import main
+from followups.synth import SynthConfig, write_dataset
 
 CHAIN_GRAPH = "1\t2\n2\t3\n"
 CHAIN_LOG = "1\ta\t1\n2\ta\t2\n3\ta\t3\n"
@@ -106,7 +110,10 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_resource_guard_exit_code(tmp_path, capsys):
-    assert main(["gen", "--out", str(tmp_path / "ds"), "--users", "150", "--actions", "60", "--seed", "2", "--hubs", "5"]) == 0
+    assert main([
+        "gen", "--out", str(tmp_path / "ds"), "--users", "150", "--actions", "60", "--seed", "2", "--hubs", "5",
+        "--cascade-base", "0.04", "--cascade-boost", "0.5",
+    ]) == 0
     capsys.readouterr()
     ds = tmp_path / "ds"
     code = main([
@@ -120,3 +127,78 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 3
+
+
+def test_gen_defaults_match_synth_config(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "cli"), "--seed", "7"]) == 0
+    capsys.readouterr()
+    write_dataset(SynthConfig(seed=7), tmp_path / "lib")
+    for name in ("graph.tsv", "actions.tsv", "users.attrs.tsv", "actions.attrs.tsv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+
+def run_error(argv, capsys) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--users", "--hubs"])
+def test_gen_zero_sizes_are_config_errors(tmp_path, capsys, flag):
+    code, err = run_error(["gen", "--out", str(tmp_path / "ds"), flag, "0"], capsys)
+    assert code == 2
+    assert flag[2:] in err
+
+
+def test_bins_file_without_boundaries_names_the_file(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    bins = tmp_path / "bins.json"
+    bins.write_text('[{"attribute": "year", "labels": ["all"]}]')
+    code, err = run_error(
+        ["mine", *attr_args(files), "--bins", str(bins), "--top", "1", "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 2
+    assert str(bins) in err and "boundaries" in err
+
+
+def test_nbins_zero_is_config_error(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    code, err = run_error(["mine", *attr_args(files), "--nbins", "0", "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "nbins" in err
+
+
+def test_sweep_value_zero_is_config_error(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    code, err = run_error(
+        ["sweep", *attr_args(files), "--axis", "k", "--values", "0,1", "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 2
+    assert "sweep values" in err
+
+
+@pytest.mark.parametrize("text", ["", "not json {"])
+def test_render_unreadable_input_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, err = run_error(["render", "--in", str(path)], capsys)
+    assert code == 2
+    assert str(path) in err
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    files["graph"].write_bytes(b"1\t2\n\xff\xfe\n")
+    code, err = run_error(["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"])], capsys)
+    assert code == 2
+    assert str(files["graph"]) in err
+
+
+def test_internal_value_error_is_not_a_user_error(tmp_path, capsys, monkeypatch):
+    files = write_chain(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(harness, "rank_csv", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"])])

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import postings_of, reference_predicate_index
+
 from followups.errors import ConfigError, ParseError
 from followups.featurization import (
     ACTION,
@@ -151,7 +153,7 @@ def test_index_single_cell_two_predicates():
     action_attrs.add("a", "genre", "comedy")
     index = build_predicate_index(small_fset(), user_attrs, action_attrs)
     assert index.n_predicates == 2
-    assert all(pl == (0,) for pl in index.postings)
+    assert all(pl == (0,) for pl in postings_of(index))
 
 
 def test_index_single_valued_attribute_partitions():
@@ -162,8 +164,8 @@ def test_index_single_valued_attribute_partitions():
     action_attrs = AttributeTable(ACTION)
     action_attrs.add("a", "genre", "comedy")
     index = build_predicate_index(fset, user_attrs, action_attrs)
-    male = index.postings[index.pid_of(USER, "gender", "male")]
-    female = index.postings[index.pid_of(USER, "gender", "female")]
+    male = postings_of(index)[index.pid_of(USER, "gender", "male")]
+    female = postings_of(index)[index.pid_of(USER, "gender", "female")]
     assert set(male).isdisjoint(female)
     assert sorted(male + female) == [0, 1]
 
@@ -204,31 +206,20 @@ def test_index_influencer_target():
     assert index.predicates[0].value == "female"
 
 
-def random_scan_oracle(index) -> list[tuple[int, ...]]:
-    """Recheck postings by scanning every (cell, predicate) pair."""
-    out = []
-    for pid in range(index.n_predicates):
-        members = tuple(
-            c for c in range(index.n_cells) if pid in index.cell_predicates[c]
-        )
-        out.append(members)
-    return out
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_index_round_trip_and_scan_oracle(seed, rng):
     from conftest import random_attribute_instance
 
     index = random_attribute_instance(random.Random(seed), max_cells=10 * (seed + 2))
-    assert index.postings == tuple(random_scan_oracle(index))
-    for pid, posting in enumerate(index.postings):
+    postings = postings_of(index)
+    _, scanned = reference_predicate_index(
+        index.followup_set, index.user_attrs, index.action_attrs, index.bins.values(), index.target
+    )
+    assert postings == scanned
+    for pid, posting in enumerate(postings):
         assert posting  # empty postings never enter the catalog
         assert list(posting) == sorted(set(posting))
-        for c in posting:
-            assert pid in index.cell_predicates[c]
-    for c, pids in enumerate(index.cell_predicates):
-        for pid in pids:
-            assert c in index.postings[pid]
+        assert index.bits[pid] >> index.n_cells == 0  # no bit beyond the last cell
 
 
 def test_popularity_orders_by_size_then_id():

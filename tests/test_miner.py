@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import index_from_postings, random_attribute_instance
+from conftest import index_from_postings, postings_of, random_attribute_instance, scan_annotation
 
 from followups.featurization import ACTION, USER, AttributeTable, build_predicate_index
 from followups.ingestion import Cell, FollowupSet
@@ -43,7 +43,7 @@ def scan_coverage(index, pids) -> int:
     return sum(
         1
         for c in range(index.n_cells)
-        if all(p in index.cell_predicates[c] for p in pids)
+        if all(index.bits[p] >> c & 1 for p in pids)
     )
 
 
@@ -75,7 +75,7 @@ def test_coverage_of_set_matches_union_oracle(seed):
         union |= {
             c
             for c in range(index.n_cells)
-            if all(p in index.cell_predicates[c] for p in pids)
+            if all(index.bits[p] >> c & 1 for p in pids)
         }
     assert coverage_of_set(index, explanations) == len(union)
 
@@ -148,8 +148,8 @@ def test_mine_truncates_when_catalog_smaller_than_l():
 
 def build_heap(index):
     heap = [
-        LazyHeapEntry.make(pid, len(index.postings[pid]), 0)
-        for pid in range(index.n_predicates)
+        LazyHeapEntry.make(pid, len(posting), 0)
+        for pid, posting in enumerate(postings_of(index))
     ]
     heapq.heapify(heap)
     return heap
@@ -332,25 +332,8 @@ def test_annotate_matches_entity_scan(seed):
     rng = random.Random(700 + seed)
     index = random_attribute_instance(rng, max_cells=10 * (seed + 1))
     eset = mine_explanations(index, 2, 2)
-    fset = index.followup_set
     for expl in eset.explanations:
-        note = annotate(expl, index)
-        preds = [index.predicates[p] for p in expl.predicates]
-
-        def sat(table, entity, pred):
-            return pred.value in table.values(entity, pred.attribute)
-
-        actions = [
-            a
-            for a in fset.actions_performed
-            if all(sat(index.action_attrs, a, p) for p in preds if p.dimension == ACTION)
-        ]
-        followers = [
-            v
-            for v in fset.active_followers
-            if all(sat(index.user_attrs, v, p) for p in preds if p.dimension == USER)
-        ]
-        assert note == (len(actions), len(followers), expl.raw_coverage)
+        assert annotate(expl, index) == scan_annotation(expl, index)
 
 
 # --- serialization -------------------------------------------------------------------
