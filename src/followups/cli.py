@@ -177,6 +177,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_keys(obj, keys: tuple[str, ...], what: str, path: Path) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{path}: {what} has no {key!r} key")
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
@@ -184,6 +192,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ParseError(f"{args.input}: not an explanation JSON document: {exc}") from None
     if not isinstance(doc, dict) or not doc.get("explanations"):
         raise ParseError(f"{args.input}: no explanations to render")
+    _require_keys(doc, ("influencer", "total_followups", "total_coverage"), "the document", args.input)
+    if not isinstance(doc["explanations"], list):
+        raise ParseError(f"{args.input}: 'explanations' is not a list")
+    for i, row in enumerate(doc["explanations"]):
+        _require_keys(row, ("predicates", "actions", "followers", "followups"), f"explanation {i}", args.input)
+        if not isinstance(row["predicates"], list):
+            raise ParseError(f"{args.input}: explanation {i}: 'predicates' is not a list")
+        for pred in row["predicates"]:
+            _require_keys(pred, ("dimension", "attribute", "value"), f"a predicate of explanation {i}", args.input)
     display = None
     if args.display:
         display = {}

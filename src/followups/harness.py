@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import baselines, miner
 from .errors import ConfigError, ParseError
@@ -35,6 +35,7 @@ from .ingestion import (
     global_followup_stats,
     parse_action_log,
     parse_social_graph,
+    rank_influencers,
 )
 
 ALGORITHMS = ("greedy", "eager", "random", "most-popular", "exhaustive", "oracle")
@@ -156,23 +157,43 @@ class PipelineResult:
     written: list[Path]
 
 
-def _load_all(config: RunConfig):
+def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, int, PredicateIndex]]]:
+    """Parse the inputs, make the one propagation pass and resolve the bins.
+
+    Returns the bins and a lazy generator of (influencer, followups, index)
+    over the top `config.top_n` influencers, so that a consumer which drops
+    each index before the next keeps one alive at a time.
+    """
     graph = load_graph(config.graph)
     log = load_log(config.actions)
     user_attrs = load_table(config.user_attrs, USER)
     action_attrs = load_table(config.action_attrs, ACTION)
-    return graph, log, user_attrs, action_attrs
+    stats = global_followup_stats(graph, log, config.max_delay)
+    if config.bins is None:
+        bins = prepare_bins(user_attrs, action_attrs, stats, config.nbins)
+    else:
+        bins = _parse_file(config.bins, lambda fh: bins_from_json(fh.read()))
+    ranked = rank_influencers(stats.influencer_counts, config.top_n)
+
+    def indexes():
+        for user, count in ranked:
+            fset = compute_followup_set(graph, log, user, config.max_delay)
+            yield user, count, build_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
+
+    return bins, indexes()
 
 
-def _resolve_bins(config: RunConfig, user_attrs, action_attrs, stats) -> list[BinSpec]:
-    if config.bins is not None:
-        return _parse_file(config.bins, lambda fh: bins_from_json(fh.read()))
-    return prepare_bins(user_attrs, action_attrs, stats, config.nbins)
-
-
-def _rank_counts(stats: FollowupStats, top_n: int) -> list[tuple[int, int]]:
-    ranked = sorted(stats.influencer_counts.items(), key=lambda it: (-it[1], it[0]))
-    return ranked[:top_n]
+def _time_algorithm(config: RunConfig, algo: str, indexes, k: int, l: int) -> tuple[list[float], float]:
+    """Relative coverage of `algo` on each index, and the median wall-clock
+    milliseconds of the mining call alone."""
+    covs = []
+    times = []
+    for index in indexes:
+        t0 = time.perf_counter()
+        eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
+        times.append((time.perf_counter() - t0) * 1000.0)
+        covs.append(eset.relative_coverage)
+    return covs, median(times)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -188,17 +209,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        graph, log, user_attrs, action_attrs = _load_all(config)
-        stats = global_followup_stats(graph, log, config.max_delay)
-        bins = _resolve_bins(config, user_attrs, action_attrs, stats)
+        bins, indexes = _top_indexes(config)
         if config.bins is None:
             bins_path = out_dir / "bins.json"
             bins_path.write_text(bins_to_json(bins), encoding="utf-8")
             written.append(bins_path)
         summary_rows = []
-        for rank, (user, count) in enumerate(_rank_counts(stats, config.top_n), start=1):
-            fset = compute_followup_set(graph, log, user, config.max_delay)
-            index = build_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
+        for rank, (user, count, index) in enumerate(indexes, start=1):
             eset = run_algorithm(config.algo, index, config.k, config.l, config.seed, config.node_budget)
             path = out_dir / f"explanations_{rank:03d}_user{user}.json"
             path.write_bytes(miner.explanation_set_json(eset, index))
@@ -263,15 +280,9 @@ def sweep(
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
     config.validate()
-    graph, log, user_attrs, action_attrs = _load_all(config)
-    stats = global_followup_stats(graph, log, config.max_delay)
-    bins = _resolve_bins(config, user_attrs, action_attrs, stats)
-    indexes = []
-    result = SweepResult(axis=axis, influencers=[])
-    for user, _count in _rank_counts(stats, config.top_n):
-        fset = compute_followup_set(graph, log, user, config.max_delay)
-        indexes.append(build_predicate_index(fset, user_attrs, action_attrs, bins, config.target))
-        result.influencers.append(user)
+    top = list(_top_indexes(config)[1])
+    indexes = [index for _, _, index in top]
+    result = SweepResult(axis=axis, influencers=[user for user, _, _ in top])
     if not indexes:
         raise ConfigError("no user has a followup, so there is nothing to sweep")
     for value in values:
@@ -279,16 +290,9 @@ def sweep(
         l = value if axis == "l" else config.l
         point = SweepPoint(value=value, coverages={}, medians={}, millis={})
         for algo in algos:
-            covs = []
-            times = []
-            for index in indexes:
-                t0 = time.perf_counter()
-                eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                covs.append(eset.relative_coverage)
+            covs, point.millis[algo] = _time_algorithm(config, algo, indexes, k, l)
             point.coverages[algo] = covs
             point.medians[algo] = median(covs)
-            point.millis[algo] = median(times)
         result.points.append(point)
     return result
 
@@ -334,22 +338,11 @@ def timing_report(
     configured (k, l). Parsing and index construction are excluded."""
     if indexes is None:
         config.validate()
-        graph, log, user_attrs, action_attrs = _load_all(config)
-        stats = global_followup_stats(graph, log, config.max_delay)
-        bins = _resolve_bins(config, user_attrs, action_attrs, stats)
-        indexes = []
-        for user, _count in _rank_counts(stats, config.top_n):
-            fset = compute_followup_set(graph, log, user, config.max_delay)
-            indexes.append(build_predicate_index(fset, user_attrs, action_attrs, bins, config.target))
-    rows = []
-    for algo in algos:
-        times = []
-        for index in indexes:
-            t0 = time.perf_counter()
-            run_algorithm(algo, index, config.k, config.l, config.seed, config.node_budget)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        rows.append((algo, config.k, config.l, median(times)))
-    return rows
+        indexes = [index for _, _, index in _top_indexes(config)[1]]
+    return [
+        (algo, config.k, config.l, _time_algorithm(config, algo, indexes, config.k, config.l)[1])
+        for algo in algos
+    ]
 
 
 def _predicate_display(pred: Mapping, display: Mapping[str, str] | None) -> str:
@@ -405,8 +398,7 @@ def histogram_csv(graph: SocialGraph, log: ActionLog, max_delay: int | None = No
 
 
 def rank_csv(graph: SocialGraph, log: ActionLog, top_n: int, max_delay: int | None = None) -> str:
-    stats = global_followup_stats(graph, log, max_delay)
-    rows = _rank_counts(stats, top_n)
+    rows = rank_influencers(global_followup_stats(graph, log, max_delay).influencer_counts, top_n)
     return "rank,influencer,followups\n" + "".join(
         f"{i},{u},{c}\n" for i, (u, c) in enumerate(rows, start=1)
     )

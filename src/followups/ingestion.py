@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import NotFoundError, ParseError
+from .errors import ConfigError, NotFoundError, ParseError
 
 
 class Cell(NamedTuple):
@@ -55,26 +55,22 @@ class SocialGraph:
         """Users that follow `user`, ascending."""
         return self._followers.get(user, ())
 
-    def __contains__(self, user: int) -> bool:
-        return user in self.users
-
 
 class ActionLog:
     """Deduplicated (user, action, time) records, one per (user, action) pair."""
 
     def __init__(self, records: Iterable[ActionRecord]):
-        self.records = tuple(sorted(records, key=lambda r: (r.action, r.time, r.user)))
         by_action: dict[str, list[tuple[int, int]]] = {}
-        by_user: dict[int, list[tuple[str, int]]] = {}
-        for user, action, time in self.records:
+        by_user: dict[int, list[str]] = {}
+        for user, action, time in records:
             by_action.setdefault(action, []).append((user, time))
-            by_user.setdefault(user, []).append((action, time))
+            by_user.setdefault(user, []).append(action)
         self._by_action = {a: tuple(sorted(rs, key=lambda r: (r[1], r[0]))) for a, rs in by_action.items()}
-        self._by_user = {u: tuple(sorted(rs)) for u, rs in by_user.items()}
+        self._by_user = {u: tuple(sorted(actions)) for u, actions in by_user.items()}
         self.actions = tuple(sorted(self._by_action))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(len(rs) for rs in self._by_action.values())
 
     def performers(self, action: str) -> tuple[tuple[int, int], ...]:
         """(user, time) pairs for `action`, sorted by (time, user)."""
@@ -82,10 +78,7 @@ class ActionLog:
 
     def actions_of(self, user: int) -> tuple[str, ...]:
         """Action ids performed by `user`, ascending."""
-        return tuple(a for a, _ in self._by_user.get(user, ()))
-
-    def users(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_user))
+        return self._by_user.get(user, ())
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,6 @@ class FollowupSet:
         self.actions_performed = tuple(actions_performed)
         if len(set(self.cells)) != len(self.cells):
             raise ValueError("duplicate cells in followup set")
-        self.cell_id = {cell: i for i, cell in enumerate(self.cells)}
         self.active_followers = tuple(sorted({c.follower for c in self.cells}))
 
     def __len__(self) -> int:
@@ -138,24 +130,22 @@ def _split_line(raw: str, lineno: int, n_cols: int) -> list[str]:
 def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
     """Parse `u<TAB>v` arc lines (v follows u). `#` comments and blank lines
     are skipped; duplicate arcs collapse; self-arcs are rejected."""
-    users: set[int] = set()
-    adj: dict[int, set[int]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = _split_line(raw, lineno, 2)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer user id") from None
-        if u == v:
-            raise ParseError(f"line {lineno}: self-arc {u}->{v}")
-        users.add(u)
-        users.add(v)
-        adj.setdefault(u, set()).add(v)
-    follower_map = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-    return SocialGraph(users, follower_map)
+
+    def arcs() -> Iterator[tuple[int, int]]:
+        for lineno, raw in enumerate(lines, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = _split_line(raw, lineno, 2)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer user id") from None
+            if u == v:
+                raise ParseError(f"line {lineno}: self-arc {u}->{v}")
+            yield u, v
+
+    return SocialGraph.from_arcs(arcs())
 
 
 def parse_action_log(lines: Iterable[str]) -> ActionLog:
@@ -278,16 +268,13 @@ def global_followup_stats(
     return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
 
 
-def rank_influencers(
-    graph: SocialGraph, log: ActionLog, top_n: int, max_delay: int | None = None
-) -> list[tuple[int, int]]:
-    """Top influencers by followup count, descending, ties by ascending user id.
-    Users with zero followups are omitted."""
+def rank_influencers(counts: Mapping[int, int], top_n: int) -> list[tuple[int, int]]:
+    """The `top_n` (influencer, followups) pairs of `counts` (a
+    `FollowupStats.influencer_counts`), by count descending, ties by ascending
+    user id. Users with zero followups are absent from `counts`."""
     if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    counts = global_followup_stats(graph, log, max_delay).influencer_counts
-    ranked = sorted(counts.items(), key=lambda it: (-it[1], it[0]))
-    return ranked[:top_n]
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
+    return sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:top_n]
 
 
 def followup_histogram(

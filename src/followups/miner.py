@@ -5,15 +5,18 @@ An explanation is a conjunction of predicates; its cells are the intersection
 of their cell bitsets. A set of explanations covers the union of their cells.
 The miner greedily grows one explanation at a time, always appending the
 predicate with the largest marginal gain over the cells not yet covered by
-earlier explanations.
+earlier explanations. The only state an explanation in progress needs is the
+running intersection of its chosen predicates' bitsets, ANDed with the
+bitset of cells still unmarked.
 
 Marginals never increase as an explanation grows or as more cells get marked,
 which lets a max-heap of cached marginals skip most recomputations. Each heap
-entry carries the stamp at which its cached value was computed; each cell
-carries a flag counting how many predicates of the in-progress explanation
-cover it (offset by `iteration * l` so stamps never collide across
-explanations). An entry popped with a current stamp is exact and can be
-accepted without any recount.
+entry is a `(-cov, pid, stamp)` tuple: the stamp is `explanations * l +
+depth` at the time `cov` was computed, so it never repeats across
+explanations, and an entry popped with the current stamp is exact and can be
+accepted without any recount. heapq's tuple order puts the largest coverage
+first and breaks ties by the lower predicate id, the tie-break the eager
+reference shares; predicate ids are unique, so the stamp never decides.
 """
 from __future__ import annotations
 
@@ -39,20 +42,17 @@ class Explanation:
     The covered set is carried as a bitset and only materialized on demand.
     """
 
-    __slots__ = ("predicates", "covered_bits", "raw_coverage", "marginal_coverage", "_covered")
+    __slots__ = ("predicates", "covered_bits", "raw_coverage", "marginal_coverage")
 
     def __init__(self, predicates: tuple[int, ...], covered_bits: int, raw_coverage: int, marginal_coverage: int):
         self.predicates = predicates
         self.covered_bits = covered_bits
         self.raw_coverage = raw_coverage
         self.marginal_coverage = marginal_coverage
-        self._covered: tuple[int, ...] | None = None
 
     @property
     def covered(self) -> tuple[int, ...]:
-        if self._covered is None:
-            self._covered = _bit_indices(self.covered_bits)
-        return self._covered
+        return _bit_indices(self.covered_bits)
 
     def __repr__(self) -> str:
         return (
@@ -87,74 +87,6 @@ class ExplanationSet:
         return _bit_indices(self.marked_bits)
 
 
-class LazyHeapEntry(NamedTuple):
-    """Heap node: cached marginal coverage for one predicate plus the stamp
-    at which that value was computed.
-
-    Stored as (-cov, pid, flag) so heapq's native tuple ordering puts the
-    largest coverage first and breaks ties by ascending predicate id; the
-    stamp can never influence the order because predicate ids are unique.
-    """
-
-    neg_cov: int
-    pid: int
-    flag: int
-
-    @property
-    def cov(self) -> int:
-        return -self.neg_cov
-
-    @classmethod
-    def make(cls, pid: int, cov: int, flag: int) -> "LazyHeapEntry":
-        return cls(-cov, pid, flag)
-
-
-class CellState:
-    """Per-cell mining state: the coverage-count flag and the marked bit.
-
-    Flags are stored column-wise: `levels[j]` is the bitset of cells whose
-    flag sits j above the current iteration's base stamp, i.e. cells covered
-    by the first selected predicate and j-1 of the later ones. Cells whose
-    flag is at or below the base (stale left-overs from earlier iterations)
-    can never climb back to a counted level before the next reset, so they
-    need no explicit storage. Marked cells never unmark; `unmarked_bits`
-    mirrors the marked array as a bitset so posting recounts stay cheap.
-    """
-
-    def __init__(self, n_cells: int):
-        self.n_cells = n_cells
-        self.unmarked_bits = (1 << n_cells) - 1
-        self.levels: list[int] = []
-
-    def reset_levels(self, l: int) -> None:
-        """Start a fresh explanation: every previous flag goes stale."""
-        self.levels = [0] * (l + 1)
-
-    def flag_level(self, cell: int) -> int:
-        """How far above the iteration base this cell's flag sits (0 = stale)."""
-        bit = 1 << cell
-        for j in range(len(self.levels) - 1, 0, -1):
-            if self.levels[j] & bit:
-                return j
-        return 0
-
-    def mark(self, cell: int) -> None:
-        self.unmarked_bits &= ~(1 << cell)
-
-    def mark_bits(self, bits: int) -> None:
-        self.unmarked_bits &= ~bits
-
-    @property
-    def marked(self) -> bytearray:
-        out = bytearray(self.n_cells)
-        for c in _bit_indices(((1 << self.n_cells) - 1) & ~self.unmarked_bits):
-            out[c] = 1
-        return out
-
-    def marked_cells(self) -> tuple[int, ...]:
-        return _bit_indices(((1 << self.n_cells) - 1) & ~self.unmarked_bits)
-
-
 def _check_predicates(index: PredicateIndex, predicates: Iterable[int]) -> list[int]:
     pids = list(predicates)
     for pid in pids:
@@ -185,72 +117,42 @@ def coverage_of_set(index: PredicateIndex, explanations: Iterable[Iterable[int]]
     return union.bit_count()
 
 
-def _build_heap(index: PredicateIndex) -> list[LazyHeapEntry]:
-    heap = [
-        LazyHeapEntry.make(pid, index.bits[pid].bit_count(), 0)
-        for pid in range(index.n_predicates)
-    ]
+def _build_heap(index: PredicateIndex) -> list[tuple[int, int, int]]:
+    heap = [(-index.bits[pid].bit_count(), pid, 0) for pid in range(index.n_predicates)]
     heapq.heapify(heap)
     return heap
 
 
 def next_explanation(
-    heap: list[LazyHeapEntry],
-    cells: CellState,
+    heap: list[tuple[int, int, int]],
+    unmarked: int,
     index: PredicateIndex,
     l: int,
     n_explanations: int,
 ) -> Explanation:
-    """Greedily append `l` predicates to a fresh explanation.
+    """Greedily append up to `l` predicates to a fresh explanation.
 
-    `heap` is this call's private copy (entries are consumed); `cells` is the
-    shared mining state, whose newly covered cells get marked when the
-    explanation completes. Entries must carry marginals no older than stamp
-    `n_explanations * l`; the topmost entry is expected current.
+    `heap` is this call's private copy (entries are consumed); `unmarked` is
+    the bitset of cells no earlier explanation covers. Entries must carry
+    marginals no older than stamp `n_explanations * l`; the topmost entry is
+    expected current. A catalog that runs out first leaves the explanation
+    shorter than `l`.
     """
     base = n_explanations * l
     chosen: list[int] = []
-    newly_marked = 0
+    inter = index.full_mask
+    live = inter & unmarked
     while heap and len(chosen) < l:
-        entry = heapq.heappop(heap)
+        _, pid, stamp = heap[0]
         need = base + len(chosen)
-        if entry.flag < need:
-            if not chosen:
-                # Stamp-zero refresh: nothing constrains the cells yet except
-                # marking, same recount the caller uses to settle its heap.
-                cov = (index.bits[entry.pid] & cells.unmarked_bits).bit_count()
-            else:
-                cov = (
-                    index.bits[entry.pid] & cells.levels[len(chosen)] & cells.unmarked_bits
-                ).bit_count()
-            heapq.heappush(heap, LazyHeapEntry.make(entry.pid, cov, need))
+        if stamp < need:
+            heapq.heapreplace(heap, (-(index.bits[pid] & live).bit_count(), pid, need))
             continue
-        chosen.append(entry.pid)
-        depth = len(chosen)
-        bits = index.bits[entry.pid]
-        if depth == 1:
-            cells.reset_levels(l)
-            cells.levels[1] = bits
-        else:
-            # the flag of every cell on this predicate's posting climbs by one
-            for j in range(depth - 1, 0, -1):
-                moved = cells.levels[j] & bits
-                cells.levels[j + 1] |= moved
-                cells.levels[j] ^= moved
-        if depth == l:
-            # Cells whose flag reached base + l are covered by the whole
-            # explanation; mark the unmarked ones as newly explained.
-            newly = cells.levels[l] & cells.unmarked_bits
-            newly_marked = newly.bit_count()
-            cells.mark_bits(newly)
-    inter = covered_bits(index, chosen)
-    if 0 < len(chosen) < l:
-        # Catalog exhausted before reaching length l: close out the truncated
-        # explanation so its cells still count as explained.
-        extra = inter & cells.unmarked_bits
-        newly_marked = extra.bit_count()
-        cells.mark_bits(extra)
-    return Explanation(tuple(chosen), inter, inter.bit_count(), newly_marked)
+        heapq.heappop(heap)
+        chosen.append(pid)
+        inter &= index.bits[pid]
+        live = inter & unmarked
+    return Explanation(tuple(chosen), inter, inter.bit_count(), live.bit_count())
 
 
 def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
@@ -262,20 +164,20 @@ def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     heap = _build_heap(index)
-    cells = CellState(index.n_cells)
+    unmarked = index.full_mask
     explanations: list[Explanation] = []
     while len(explanations) < k and heap:
         stamp = len(explanations) * l
-        while heap[0].flag < stamp:
-            entry = heapq.heappop(heap)
-            cov = (index.bits[entry.pid] & cells.unmarked_bits).bit_count()
-            heapq.heappush(heap, LazyHeapEntry.make(entry.pid, cov, stamp))
-        if heap[0].neg_cov == 0:
+        while heap[0][2] < stamp:
+            pid = heap[0][1]
+            heapq.heapreplace(heap, (-(index.bits[pid] & unmarked).bit_count(), pid, stamp))
+        if heap[0][0] == 0:
             break
         # entries are immutable, so copying the heap is a shallow list copy
-        expl = next_explanation(list(heap), cells, index, l, len(explanations))
+        expl = next_explanation(list(heap), unmarked, index, l, len(explanations))
         if expl.marginal_coverage == 0:
             break
+        unmarked &= ~expl.covered_bits
         explanations.append(expl)
     return _finish(index, explanations)
 

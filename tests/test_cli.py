@@ -185,6 +185,46 @@ def test_render_unreadable_input_names_the_file(tmp_path, capsys, text):
     assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"explanations": [{}]},
+        {"explanations": [1]},
+        {"explanations": "rows"},
+        {
+            "influencer": 1,
+            "total_followups": 2,
+            "total_coverage": 2,
+            "explanations": [{"predicates": [{"dimension": "user"}], "actions": 1, "followers": 1, "followups": 2}],
+        },
+        {
+            "influencer": 1,
+            "total_coverage": 2,
+            "explanations": [{"predicates": [], "actions": 1, "followers": 1, "followups": 2}],
+        },
+    ],
+)
+def test_render_malformed_document_names_the_file(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_error(["render", "--in", str(path)], capsys)
+    assert code == 2
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_rank_top_below_one_is_config_error(tmp_path, capsys, top):
+    files = write_chain(tmp_path)
+    out = tmp_path / "rank.csv"
+    code, err = run_error(
+        ["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"]), "--top", top, "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "top_n" in err
+    assert not out.exists()
+
+
 def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     files = write_chain(tmp_path)
     files["graph"].write_bytes(b"1\t2\n\xff\xfe\n")

@@ -1,6 +1,8 @@
 """Pipeline, sweep, rendering, and timing harness."""
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -208,6 +210,60 @@ def test_timing_report_rows(tmp_path):
     rows = timing_report(config, ["greedy", "most-popular"])
     assert [(r[0], r[1], r[2]) for r in rows] == [("greedy", 1, 1), ("most-popular", 1, 1)]
     assert all(r[3] >= 0.0 for r in rows)
+
+
+# --- the one driver, and what the benchmark's tracer wraps -------------------
+
+def test_tracer_wraps_resolve_to_callables():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _metric in tracer.WRAPS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+
+
+def count_driver_calls(monkeypatch, out_dir: Path) -> list[tuple[str, int]]:
+    """Wrap the propagation pass, followup-set and index builders of `harness`
+    with recorders; each index event carries how many explanation files
+    `out_dir` held when that index was built."""
+    events = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            written = len(list(out_dir.glob("explanations_*.json")))
+            events.append((name, written))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("global_followup_stats", "compute_followup_set", "build_predicate_index"):
+        counted(name, getattr(harness, name))
+    return events
+
+
+@pytest.mark.parametrize("top_n", [1, 100])
+def test_driver_one_pass_and_one_index_per_influencer(tmp_path, monkeypatch, top_n):
+    config = write_chain(tmp_path)
+    config.top_n = top_n
+    expected = min(top_n, 2)  # users 1 and 2 have followups on the chain
+    runs = {
+        "run_pipeline": lambda: run_pipeline(config),
+        "sweep": lambda: sweep(config, "k", [1, 2], ["greedy", "eager"]),
+        "timing_report": lambda: timing_report(config, ["greedy", "most-popular"]),
+    }
+    for name, run in runs.items():
+        events = count_driver_calls(monkeypatch, config.out_dir)
+        run()
+        names = [event for event, _ in events]
+        assert names.count("global_followup_stats") == 1, name
+        assert names.count("compute_followup_set") == expected, name
+        assert names.count("build_predicate_index") == expected, name
+        if name == "run_pipeline":
+            # streaming: index i is built once explanation files 0..i-1 are written
+            assert [written for event, written in events if event == "build_predicate_index"] == list(range(expected))
+        monkeypatch.undo()
 
 
 # --- rendering ------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from followups.errors import NotFoundError, ParseError
+from followups.errors import ConfigError, NotFoundError, ParseError
 from followups.ingestion import (
     ActionLog,
     Cell,
@@ -192,12 +192,6 @@ def test_followups_user_without_actions():
     assert len(compute_followup_set(g, log_of(CHAIN_LOG), 99)) == 0
 
 
-def test_followups_cell_ids_contiguous():
-    g = graph_of(CHAIN_GRAPH)
-    fset = compute_followup_set(g, log_of(CHAIN_LOG), 1)
-    assert [fset.cell_id[c] for c in fset.cells] == list(range(len(fset)))
-
-
 def test_followups_back_ordered_edge_matches_oracle():
     # 4 users, 2 actions; the 3->4 arc is only time-respecting for action b.
     g = graph_of("1\t2\n2\t3\n3\t4\n")
@@ -235,21 +229,25 @@ def test_global_stats_consistent_with_per_user():
 
 # --- ranking and histogram ------------------------------------------------
 
+def rank(graph, log, top_n):
+    return rank_influencers(global_followup_stats(graph, log).influencer_counts, top_n)
+
+
 def test_rank_chain():
     g = graph_of(CHAIN_GRAPH)
-    assert rank_influencers(g, log_of(CHAIN_LOG), 2) == [(1, 2), (2, 1)]
+    assert rank(g, log_of(CHAIN_LOG), 2) == [(1, 2), (2, 1)]
 
 
 def test_rank_empty_when_no_propagation():
     g = graph_of("1\t2")
-    assert rank_influencers(g, log_of("1\ta\t5"), 10) == []
+    assert rank(g, log_of("1\ta\t5"), 10) == []
 
 
 def test_rank_matches_oracle_counts():
     rng = random.Random(4)
     graph, log = random_instance(rng)
     expected = oracle_followups(graph, log)
-    ranked = rank_influencers(graph, log, 1000)
+    ranked = rank(graph, log, 1000)
     assert dict(ranked) == {u: len(cells) for u, cells in expected.items()}
     # ties break by ascending user id; rerunning gives the identical list
     counts = [c for _, c in ranked]
@@ -257,12 +255,14 @@ def test_rank_matches_oracle_counts():
     for (u1, c1), (u2, c2) in zip(ranked, ranked[1:]):
         if c1 == c2:
             assert u1 < u2
-    assert ranked == rank_influencers(graph, log, 1000)
+    assert ranked == rank(graph, log, 1000)
 
 
 def test_rank_top_n_validation():
-    with pytest.raises(ValueError):
-        rank_influencers(graph_of(CHAIN_GRAPH), log_of(CHAIN_LOG), 0)
+    counts = global_followup_stats(graph_of(CHAIN_GRAPH), log_of(CHAIN_LOG)).influencer_counts
+    for top_n in (0, -1):
+        with pytest.raises(ConfigError):
+            rank_influencers(counts, top_n)
 
 
 def test_histogram_chain():
@@ -277,7 +277,7 @@ def test_histogram_empty_log():
 def test_histogram_consistent_with_ranking():
     rng = random.Random(5)
     graph, log = random_instance(rng)
-    ranked = dict(rank_influencers(graph, log, 10_000))
+    ranked = dict(rank(graph, log, 10_000))
     hist = followup_histogram(graph, log)
     assert sum(n for _, n in hist) == len(ranked)
     assert sum(c * n for c, n in hist) == sum(ranked.values())

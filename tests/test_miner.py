@@ -11,8 +11,6 @@ from conftest import index_from_postings, postings_of, random_attribute_instance
 from followups.featurization import ACTION, USER, AttributeTable, build_predicate_index
 from followups.ingestion import Cell, FollowupSet
 from followups.miner import (
-    CellState,
-    LazyHeapEntry,
     annotate,
     coverage_of_explanation,
     coverage_of_set,
@@ -147,35 +145,29 @@ def test_mine_truncates_when_catalog_smaller_than_l():
 # --- next_explanation as a standalone step ------------------------------------
 
 def build_heap(index):
-    heap = [
-        LazyHeapEntry.make(pid, len(posting), 0)
-        for pid, posting in enumerate(postings_of(index))
-    ]
+    heap = [(-len(posting), pid, 0) for pid, posting in enumerate(postings_of(index))]
     heapq.heapify(heap)
     return heap
 
 
 def test_next_explanation_single_predicate_marks_cells():
     index = index_from_postings([[0, 1, 2]])
-    cells = CellState(index.n_cells)
-    expl = next_explanation(build_heap(index), cells, index, 1, 0)
+    expl = next_explanation(build_heap(index), index.full_mask, index, 1, 0)
     assert expl.predicates == (0,)
-    assert bytes(cells.marked) == b"\x01\x01\x01"
+    assert expl.covered_bits == 0b111
     assert expl.marginal_coverage == 3
 
 
 def test_next_explanation_crafted_first_iteration():
     index = index_from_postings(CRAFTED)
-    cells = CellState(index.n_cells)
-    expl = next_explanation(build_heap(index), cells, index, 2, 0)
+    expl = next_explanation(build_heap(index), index.full_mask, index, 2, 0)
     assert expl.predicates == (0, 1)
     assert expl.raw_coverage == 3
 
 
 def test_next_explanation_tie_breaks_to_lower_id():
     index = index_from_postings([[0, 1], [0, 1]])
-    cells = CellState(index.n_cells)
-    expl = next_explanation(build_heap(index), cells, index, 1, 0)
+    expl = next_explanation(build_heap(index), index.full_mask, index, 1, 0)
     assert expl.predicates == (0,)
 
 
