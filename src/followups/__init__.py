@@ -32,6 +32,7 @@ from .ingestion import (
     build_propagation_graph,
     compute_followup_set,
     followup_histogram,
+    followup_sets,
     global_followup_stats,
     parse_action_log,
     parse_social_graph,
@@ -87,6 +88,7 @@ __all__ = [
     "explanation_set_doc",
     "explanation_set_json",
     "followup_histogram",
+    "followup_sets",
     "global_followup_stats",
     "load_attribute_table",
     "mine_explanations",

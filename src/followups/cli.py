@@ -14,6 +14,7 @@ from pathlib import Path
 from . import harness, synth
 from .errors import ConfigError, FollowupsError, ParseError, ResourceLimitError
 from .featurization import TARGET_FOLLOWER, TARGET_INFLUENCER
+from .ingestion import require_top_n
 
 # `SynthConfig` fields `gen` exposes as options; their defaults are the
 # dataclass's, so `gen` and `write_dataset(SynthConfig(...))` agree.
@@ -143,6 +144,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    require_top_n(args.top)
     graph = harness.load_graph(args.graph)
     log = harness.load_log(args.actions)
     _write_or_print(harness.rank_csv(graph, log, args.top, args.max_delay), args.out)

@@ -30,12 +30,14 @@ from .ingestion import (
     ActionLog,
     FollowupStats,
     SocialGraph,
-    compute_followup_set,
+    compute_followup_set,  # the reference for `followup_sets`; perfbench/ reads it from here
     followup_histogram,
+    followup_sets,
     global_followup_stats,
     parse_action_log,
     parse_social_graph,
     rank_influencers,
+    require_top_n,
 )
 
 ALGORITHMS = ("greedy", "eager", "random", "most-popular", "exhaustive", "oracle")
@@ -162,7 +164,8 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
 
     Returns the bins and a lazy generator of (influencer, followups, index)
     over the top `config.top_n` influencers, so that a consumer which drops
-    each index before the next keeps one alive at a time.
+    each index before the next keeps one alive at a time. Their followup sets
+    come from one `followup_sets` pass, made when the first index is asked for.
     """
     graph = load_graph(config.graph)
     log = load_log(config.actions)
@@ -176,11 +179,17 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
     ranked = rank_influencers(stats.influencer_counts, config.top_n)
 
     def indexes():
-        for user, count in ranked:
-            fset = compute_followup_set(graph, log, user, config.max_delay)
+        fsets = followup_sets(graph, log, [user for user, _ in ranked], config.max_delay)
+        for (user, count), fset in zip(ranked, fsets):
             yield user, count, build_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
 
     return bins, indexes()
+
+
+def _require_indexes(indexes: Sequence[PredicateIndex]) -> None:
+    """Mining and timing over no index has no median: a ConfigError."""
+    if not indexes:
+        raise ConfigError("no user has a followup, so there is nothing to sweep or time")
 
 
 def _time_algorithm(config: RunConfig, algo: str, indexes, k: int, l: int) -> tuple[list[float], float]:
@@ -282,9 +291,8 @@ def sweep(
     config.validate()
     top = list(_top_indexes(config)[1])
     indexes = [index for _, _, index in top]
+    _require_indexes(indexes)
     result = SweepResult(axis=axis, influencers=[user for user, _, _ in top])
-    if not indexes:
-        raise ConfigError("no user has a followup, so there is nothing to sweep")
     for value in values:
         k = value if axis == "k" else config.k
         l = value if axis == "l" else config.l
@@ -339,6 +347,7 @@ def timing_report(
     if indexes is None:
         config.validate()
         indexes = [index for _, _, index in _top_indexes(config)[1]]
+    _require_indexes(indexes)
     return [
         (algo, config.k, config.l, _time_algorithm(config, algo, indexes, config.k, config.l)[1])
         for algo in algos
@@ -398,6 +407,7 @@ def histogram_csv(graph: SocialGraph, log: ActionLog, max_delay: int | None = No
 
 
 def rank_csv(graph: SocialGraph, log: ActionLog, top_n: int, max_delay: int | None = None) -> str:
+    require_top_n(top_n)
     rows = rank_influencers(global_followup_stats(graph, log, max_delay).influencer_counts, top_n)
     return "rank,influencer,followups\n" + "".join(
         f"{i},{u},{c}\n" for i, (u, c) in enumerate(rows, start=1)

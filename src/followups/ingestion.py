@@ -3,14 +3,22 @@
 Parses the TSV inputs, builds per-action propagation DAGs, and derives
 followup sets: for an influencer u, a cell (action, follower) exists when the
 follower performed the action after u, along a time-respecting path of follow
-arcs. Followup counts over all users drive influencer ranking and the
-followup-frequency histogram.
+arcs.
+
+Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
+every action's DAG once and counts every user's followups, which drive
+influencer ranking, binning and the followup-frequency histogram.
+`followup_sets` then builds the DAG of each action in the union of the
+ranked influencers' actions once, and emits all their followup sets from
+it. `compute_followup_set` derives one influencer's set on its own, by
+breadth-first search per action; it is the reference the batch is tested
+against.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, NotFoundError, ParseError
 
@@ -268,12 +276,76 @@ def global_followup_stats(
     return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
 
 
+def followup_sets(
+    graph: SocialGraph, log: ActionLog, influencers: Sequence[int], max_delay: int | None = None
+) -> Iterator[FollowupSet]:
+    """The followup set of each of `influencers` (distinct user ids), in input
+    order, equal to `compute_followup_set` on each of them.
+
+    One pass walks the sorted union of their actions and builds each
+    action's DAG once. As in `global_followup_stats`, nodes are processed in
+    time order carrying a bitset of the sources that reach them, but only
+    the listed influencers are sources. Each node's bits are decoded in
+    ascending follower id. The pass runs at the first `next()` and keeps
+    only each influencer's followers per action; those are dropped as the
+    influencer's set is yielded.
+    """
+    order = list(influencers)
+    listed = set(order)
+    if len(listed) != len(order):
+        raise ValueError("duplicate influencer")
+    # Per influencer, one flat list: each action with followups (a str),
+    # then its followers (ints). One slot per action and per cell.
+    runs: dict[int, list[str | int]] = {u: [] for u in order}
+    for action in sorted({a for u in order for a in log.actions_of(u)}):
+        pg = build_propagation_graph(graph, log, action, max_delay)
+        for u, followers in _listed_reach(pg, listed):
+            runs[u].append(action)
+            runs[u] += followers
+    for u in order:
+        yield FollowupSet(u, _decode_runs(runs.pop(u)), log.actions_of(u))
+
+
+def _listed_reach(pg: PropagationGraph, listed: set[int]) -> list[tuple[int, list[int]]]:
+    """(source, its followers ascending) for each performer of `pg` that is
+    in `listed` and reaches anyone."""
+    sources = [u for u in pg.nodes if u in listed]
+    bit = {u: 1 << j for j, u in enumerate(sources)}
+    index = {u: i for i, u in enumerate(pg.nodes)}
+    reach = [0] * len(pg.nodes)
+    for i, u in enumerate(pg.nodes):
+        push = reach[i] | bit.get(u, 0)
+        if push:
+            for v in pg.successors(u):
+                reach[index[v]] |= push
+    followers: list[list[int]] = [[] for _ in sources]
+    for v, bits in sorted((v, bits) for v, bits in zip(pg.nodes, reach) if bits):
+        while bits:
+            low = bits & -bits
+            followers[low.bit_length() - 1].append(v)
+            bits ^= low
+    return [(u, vs) for u, vs in zip(sources, followers) if vs]
+
+
+def _decode_runs(run: list[str | int]) -> Iterator[Cell]:
+    for item in run:
+        if isinstance(item, str):
+            action = item
+        else:
+            yield Cell(action, item)
+
+
+def require_top_n(top_n: int) -> None:
+    """Reject a top-N size below 1 with a ConfigError."""
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
+
+
 def rank_influencers(counts: Mapping[int, int], top_n: int) -> list[tuple[int, int]]:
     """The `top_n` (influencer, followups) pairs of `counts` (a
     `FollowupStats.influencer_counts`), by count descending, ties by ascending
     user id. Users with zero followups are absent from `counts`."""
-    if top_n < 1:
-        raise ConfigError(f"top_n must be >= 1, got {top_n}")
+    require_top_n(top_n)
     return sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:top_n]
 
 

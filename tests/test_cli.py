@@ -213,9 +213,15 @@ def test_render_malformed_document_names_the_file(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])
-def test_rank_top_below_one_is_config_error(tmp_path, capsys, top):
+def test_rank_top_below_one_is_config_error(tmp_path, capsys, monkeypatch, top):
     files = write_chain(tmp_path)
     out = tmp_path / "rank.csv"
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("--top is checked before the inputs are loaded")
+
+    for name in ("load_graph", "load_log", "global_followup_stats"):
+        monkeypatch.setattr(harness, name, not_reached)
     code, err = run_error(
         ["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"]), "--top", top, "--out", str(out)],
         capsys,

@@ -4,11 +4,12 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from followups import harness
+from followups import harness, ingestion
 from followups.errors import ConfigError, ResourceLimitError
 from followups.featurization import build_predicate_index
 from followups.harness import (
@@ -212,6 +213,17 @@ def test_timing_report_rows(tmp_path):
     assert all(r[3] >= 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["sweep", "timing_report"])
+def test_nothing_to_time_is_config_error(tmp_path, command):
+    config = write_chain(tmp_path)
+    (tmp_path / "actions.tsv").write_text("")
+    with pytest.raises(ConfigError, match="no user has a followup"):
+        if command == "sweep":
+            sweep(config, "k", [1], ["greedy"])
+        else:
+            timing_report(config, ["greedy"])
+
+
 # --- the one driver, and what the benchmark's tracer wraps -------------------
 
 def test_tracer_wraps_resolve_to_callables():
@@ -225,9 +237,9 @@ def test_tracer_wraps_resolve_to_callables():
 
 
 def count_driver_calls(monkeypatch, out_dir: Path) -> list[tuple[str, int]]:
-    """Wrap the propagation pass, followup-set and index builders of `harness`
-    with recorders; each index event carries how many explanation files
-    `out_dir` held when that index was built."""
+    """Wrap the propagation pass, the followup-set builders and the index
+    builder of `harness` with recorders; each index event carries how many
+    explanation files `out_dir` held when that index was built."""
     events = []
 
     def counted(name, fn):
@@ -238,7 +250,7 @@ def count_driver_calls(monkeypatch, out_dir: Path) -> list[tuple[str, int]]:
 
         monkeypatch.setattr(harness, name, wrapper)
 
-    for name in ("global_followup_stats", "compute_followup_set", "build_predicate_index"):
+    for name in ("global_followup_stats", "followup_sets", "compute_followup_set", "build_predicate_index"):
         counted(name, getattr(harness, name))
     return events
 
@@ -258,12 +270,39 @@ def test_driver_one_pass_and_one_index_per_influencer(tmp_path, monkeypatch, top
         run()
         names = [event for event, _ in events]
         assert names.count("global_followup_stats") == 1, name
-        assert names.count("compute_followup_set") == expected, name
+        assert names.count("followup_sets") == 1, name
+        assert names.count("compute_followup_set") == 0, name
         assert names.count("build_predicate_index") == expected, name
         if name == "run_pipeline":
             # streaming: index i is built once explanation files 0..i-1 are written
             assert [written for event, written in events if event == "build_predicate_index"] == list(range(expected))
         monkeypatch.undo()
+
+
+def test_pipeline_builds_each_dag_at_most_twice(tmp_path, monkeypatch):
+    """One propagation pass ranks, one batch pass builds every top-N followup
+    set: no action's DAG is built more than twice."""
+    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
+    config = RunConfig(
+        graph=paths["graph"],
+        actions=paths["actions"],
+        user_attrs=paths["user_attrs"],
+        action_attrs=paths["action_attrs"],
+        top_n=100,
+        out_dir=tmp_path / "out",
+    )
+    builds = []
+    build = ingestion.build_propagation_graph
+
+    def counted(graph, log, action, max_delay=None):
+        builds.append(action)
+        return build(graph, log, action, max_delay)
+
+    monkeypatch.setattr(ingestion, "build_propagation_graph", counted)
+    run_pipeline(config)
+    n_actions = len(harness.load_log(config.actions).actions)
+    assert n_actions <= len(builds) <= 2 * n_actions
+    assert max(Counter(builds).values()) <= 2
 
 
 # --- rendering ------------------------------------------------------------
