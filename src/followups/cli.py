@@ -14,7 +14,7 @@ from pathlib import Path
 from . import harness, synth
 from .errors import ConfigError, FollowupsError, ParseError, ResourceLimitError
 from .featurization import TARGET_FOLLOWER, TARGET_INFLUENCER
-from .ingestion import require_top_n
+from .ingestion import require_max_delay, require_top_n
 
 # `SynthConfig` fields `gen` exposes as options; their defaults are the
 # dataclass's, so `gen` and `write_dataset(SynthConfig(...))` agree.
@@ -145,6 +145,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     require_top_n(args.top)
+    require_max_delay(args.max_delay)
     graph = harness.load_graph(args.graph)
     log = harness.load_log(args.actions)
     _write_or_print(harness.rank_csv(graph, log, args.top, args.max_delay), args.out)
@@ -152,6 +153,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
+    require_max_delay(args.max_delay)
     graph = harness.load_graph(args.graph)
     log = harness.load_log(args.actions)
     _write_or_print(harness.histogram_csv(graph, log, args.max_delay), args.out)

@@ -37,6 +37,7 @@ from .ingestion import (
     parse_action_log,
     parse_social_graph,
     rank_influencers,
+    require_max_delay,
     require_top_n,
 )
 
@@ -66,6 +67,7 @@ class RunConfig:
             raise ConfigError("k, l and top_n must all be >= 1")
         if self.nbins < 1:
             raise ConfigError(f"nbins must be >= 1, got {self.nbins}")
+        require_max_delay(self.max_delay)
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
         for path in (self.graph, self.actions, self.user_attrs, self.action_attrs, self.bins):

@@ -5,19 +5,24 @@ followup sets: for an influencer u, a cell (action, follower) exists when the
 follower performed the action after u, along a time-respecting path of follow
 arcs.
 
+`parse_action_log` checks each line and hands plain (user, action, time)
+tuples to `ActionLog`, the one place that keeps the earliest time of a
+repeated (user, action) pair.
+
 Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
-every action's DAG once and counts every user's followups, which drive
-influencer ranking, binning and the followup-frequency histogram.
-`followup_sets` then builds the DAG of each action in the union of the
-ranked influencers' actions once, and emits all their followup sets from
-it. `compute_followup_set` derives one influencer's set on its own, by
-breadth-first search per action; it is the reference the batch is tested
-against.
+every action's DAG once and counts every user's followups by popcount of
+per-node reach bitsets; the counts drive influencer ranking, binning and
+the followup-frequency histogram. `followup_sets` then builds the DAG of
+each action in the union of the ranked influencers' actions once, and emits
+all their followup sets from it. `compute_followup_set` derives one
+influencer's set on its own, by breadth-first search per action; it is the
+reference the batch is tested against.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, NotFoundError, ParseError
@@ -28,12 +33,6 @@ class Cell(NamedTuple):
 
     action: str
     follower: int
-
-
-class ActionRecord(NamedTuple):
-    user: int
-    action: str
-    time: int
 
 
 class SocialGraph:
@@ -65,17 +64,28 @@ class SocialGraph:
 
 
 class ActionLog:
-    """Deduplicated (user, action, time) records, one per (user, action) pair."""
+    """The action log, one row per (user, action) pair.
 
-    def __init__(self, records: Iterable[ActionRecord]):
-        by_action: dict[str, list[tuple[int, int]]] = {}
-        by_user: dict[int, list[str]] = {}
+    Built from (user, action, time) tuples; when a pair repeats, its
+    earliest time wins.
+    """
+
+    def __init__(self, records: Iterable[tuple[int, str, int]]):
+        earliest: dict[str, dict[int, int]] = {}
         for user, action, time in records:
-            by_action.setdefault(action, []).append((user, time))
-            by_user.setdefault(user, []).append(action)
-        self._by_action = {a: tuple(sorted(rs, key=lambda r: (r[1], r[0]))) for a, rs in by_action.items()}
-        self._by_user = {u: tuple(sorted(actions)) for u, actions in by_user.items()}
-        self.actions = tuple(sorted(self._by_action))
+            times = earliest.get(action)
+            if times is None:
+                earliest[action] = {user: time}
+            elif time < times.get(user, time + 1):
+                times[user] = time
+        self.actions = tuple(sorted(earliest))
+        by_time = itemgetter(1, 0)
+        self._by_action = {a: tuple(sorted(earliest[a].items(), key=by_time)) for a in self.actions}
+        by_user: dict[int, list[str]] = {}
+        for action in self.actions:
+            for user in earliest[action]:
+                by_user.setdefault(user, []).append(action)
+        self._by_user = {u: tuple(actions) for u, actions in by_user.items()}
 
     def __len__(self) -> int:
         return sum(len(rs) for rs in self._by_action.values())
@@ -101,6 +111,10 @@ class PropagationGraph:
 
     def successors(self, user: int) -> tuple[int, ...]:
         return self._successors.get(user, ())
+
+    def out_arcs(self) -> Iterable[tuple[int, tuple[int, ...]]]:
+        """(u, successors of u) for each node with an out-arc, in `nodes` order."""
+        return self._successors.items()
 
     @property
     def n_arcs(self) -> int:
@@ -159,29 +173,52 @@ def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
 def parse_action_log(lines: Iterable[str]) -> ActionLog:
     """Parse `user<TAB>action<TAB>timestamp` lines. When a (user, action) pair
     repeats, the earliest timestamp wins."""
-    earliest: dict[tuple[int, str], int] = {}
+    return ActionLog(_log_rows(lines))
+
+
+def _log_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, int]]:
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = _split_line(raw, lineno, 3)
-        try:
-            user = int(parts[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer user id") from None
-        action = parts[1].strip()
-        if not action:
-            raise ParseError(f"line {lineno}: empty action id")
-        try:
-            time = int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer timestamp") from None
-        if time < 0:
-            raise ParseError(f"line {lineno}: negative timestamp")
-        key = (user, action)
-        if key not in earliest or time < earliest[key]:
-            earliest[key] = time
-    return ActionLog(ActionRecord(u, a, t) for (u, a), t in earliest.items())
+        # Fast path for a well-formed row. `int` ignores the line ending, and
+        # a blank or `#` line never has an integer first field, so whatever
+        # this accepts `_checked_log_row` accepts with the same values.
+        parts = raw.split("\t")
+        if len(parts) == 3:
+            user, action, time = parts
+            try:
+                user, time = int(user), int(time)
+            except ValueError:
+                pass
+            else:
+                action = action.strip()
+                if action and time >= 0:
+                    yield user, action, time
+                    continue
+        row = _checked_log_row(raw, lineno)
+        if row is not None:
+            yield row
+
+
+def _checked_log_row(raw: str, lineno: int) -> tuple[int, str, int] | None:
+    """One action-log line checked field by field: its row, None for a blank
+    or comment line, or a ParseError naming the line."""
+    stripped = raw.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    parts = _split_line(raw, lineno, 3)
+    try:
+        user = int(parts[0])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer user id") from None
+    action = parts[1].strip()
+    if not action:
+        raise ParseError(f"line {lineno}: empty action id")
+    try:
+        time = int(parts[2])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer timestamp") from None
+    if time < 0:
+        raise ParseError(f"line {lineno}: negative timestamp")
+    return user, action, time
 
 
 def build_propagation_graph(
@@ -246,34 +283,43 @@ def global_followup_stats(
 ) -> FollowupStats:
     """Count followups for every user at once.
 
-    Per action, nodes are processed in time order carrying a bitset of the
-    sources that reach them; each set bit contributes one cell to that
-    source's followup set.
+    Per action, one walk in time order gives each node the bitset of the
+    sources that reach it, and its popcount is that follower's cells. One
+    walk in reverse gives each source the bitset of the nodes it reaches,
+    and its popcount is that influencer's cells. Only nodes on an arc hold
+    a bitset. Users and actions without cells are absent from the dicts.
     """
-    influencer_counts: dict[int, int] = Counter()
-    action_cells: dict[str, int] = Counter()
-    follower_cells: dict[int, int] = Counter()
+    influencer_counts: dict[int, int] = {}
+    action_cells: dict[str, int] = {}
+    follower_cells: dict[int, int] = {}
     for action in log.actions:
         pg = build_propagation_graph(graph, log, action, max_delay)
-        index = {u: i for i, u in enumerate(pg.nodes)}
-        reach = [0] * len(pg.nodes)
-        for u in pg.nodes:
-            i = index[u]
-            push = reach[i] | (1 << i)
-            for v in pg.successors(u):
-                reach[index[v]] |= push
-        for v in pg.nodes:
-            sources = reach[index[v]]
-            if not sources:
-                continue
+        arcs = list(pg.out_arcs())
+        if not arcs:
+            continue
+        up: dict[int, int] = {}  # node -> the sources that reach it
+        for bit, (u, vs) in enumerate(arcs):
+            push = up.get(u, 0) | 1 << bit
+            for v in vs:
+                up[v] = up.get(v, 0) | push
+        total = 0
+        for v, sources in up.items():
             n = sources.bit_count()
-            follower_cells[v] += n
-            action_cells[action] += n
-            while sources:
-                low = sources & -sources
-                influencer_counts[pg.nodes[low.bit_length() - 1]] += 1
-                sources ^= low
-    return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
+            follower_cells[v] = follower_cells.get(v, 0) + n
+            total += n
+        action_cells[action] = total
+        # Node -> itself and the nodes it reaches. Every arc target gets its
+        # own bit first; a later source adds what it reaches before any
+        # earlier node reads it.
+        down = {v: 1 << i for i, v in enumerate(up)}
+        for u, vs in reversed(arcs):
+            reached = 0
+            for v in vs:
+                reached |= down[v]
+            influencer_counts[u] = influencer_counts.get(u, 0) + reached.bit_count()
+            if u in down:
+                down[u] |= reached
+    return FollowupStats(influencer_counts, action_cells, follower_cells)
 
 
 def followup_sets(
@@ -339,6 +385,13 @@ def require_top_n(top_n: int) -> None:
     """Reject a top-N size below 1 with a ConfigError."""
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
+
+
+def require_max_delay(max_delay: int | None) -> None:
+    """Reject a max delay below 1 with a ConfigError: DAG arcs join strictly
+    later performances, so such a delay would drop every arc."""
+    if max_delay is not None and max_delay < 1:
+        raise ConfigError(f"max_delay must be >= 1, got {max_delay}")
 
 
 def rank_influencers(counts: Mapping[int, int], top_n: int) -> list[tuple[int, int]]:

@@ -1,12 +1,15 @@
 """Shared helpers: hand-buildable indexes, seeded random instances, and the
-per-cell oracles the factorised index build and `annotate` are checked
-against."""
+simple oracles the optimised layers are checked against: the per-row action
+log parser, the per-cell propagation pass, and the per-cell index build and
+`annotate`."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from followups.errors import ParseError
 from followups.featurization import (
     ACTION,
     TARGET_FOLLOWER,
@@ -15,7 +18,92 @@ from followups.featurization import (
     PredicateIndex,
     build_predicate_index,
 )
-from followups.ingestion import Cell, FollowupSet
+from followups.ingestion import Cell, FollowupSet, FollowupStats, build_propagation_graph
+
+
+class ReferenceLog:
+    """The action log kept as one record per (user, action) pair, each
+    action's performers sorted by (time, user) and each user's actions
+    sorted."""
+
+    def __init__(self, earliest: dict[tuple[int, str], int]):
+        by_action: dict[str, list[tuple[int, int]]] = {}
+        by_user: dict[int, list[str]] = {}
+        for (user, action), time in earliest.items():
+            by_action.setdefault(action, []).append((user, time))
+            by_user.setdefault(user, []).append(action)
+        self._by_action = {a: tuple(sorted(rs, key=lambda r: (r[1], r[0]))) for a, rs in by_action.items()}
+        self._by_user = {u: tuple(sorted(actions)) for u, actions in by_user.items()}
+        self.actions = tuple(sorted(self._by_action))
+
+    def __len__(self) -> int:
+        return sum(len(rs) for rs in self._by_action.values())
+
+    def performers(self, action: str) -> tuple[tuple[int, int], ...]:
+        return self._by_action.get(action, ())
+
+    def actions_of(self, user: int) -> tuple[str, ...]:
+        return self._by_user.get(user, ())
+
+
+def reference_parse_action_log(lines) -> ReferenceLog:
+    """The per-row action log parser: each line checked field by field, the
+    earliest time of each (user, action) pair kept in one dict."""
+    earliest: dict[tuple[int, str], int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = raw.rstrip("\r\n").split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 tab-separated columns, got {len(parts)}")
+        try:
+            user = int(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer user id") from None
+        action = parts[1].strip()
+        if not action:
+            raise ParseError(f"line {lineno}: empty action id")
+        try:
+            time = int(parts[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer timestamp") from None
+        if time < 0:
+            raise ParseError(f"line {lineno}: negative timestamp")
+        key = (user, action)
+        if key not in earliest or time < earliest[key]:
+            earliest[key] = time
+    return ReferenceLog(earliest)
+
+
+def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
+    """The per-cell propagation pass: per action, nodes in time order carry
+    the bitset of the sources that reach them, and every set bit is decoded
+    into one cell of its source."""
+    influencer_counts: dict[int, int] = Counter()
+    action_cells: dict[str, int] = Counter()
+    follower_cells: dict[int, int] = Counter()
+    for action in log.actions:
+        pg = build_propagation_graph(graph, log, action, max_delay)
+        index = {u: i for i, u in enumerate(pg.nodes)}
+        reach = [0] * len(pg.nodes)
+        for u in pg.nodes:
+            i = index[u]
+            push = reach[i] | (1 << i)
+            for v in pg.successors(u):
+                reach[index[v]] |= push
+        for v in pg.nodes:
+            sources = reach[index[v]]
+            if not sources:
+                continue
+            n = sources.bit_count()
+            follower_cells[v] += n
+            action_cells[action] += n
+            while sources:
+                low = sources & -sources
+                influencer_counts[pg.nodes[low.bit_length() - 1]] += 1
+                sources ^= low
+    return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
 
 
 def postings_of(index: PredicateIndex) -> tuple[tuple[int, ...], ...]:

@@ -231,6 +231,31 @@ def test_rank_top_below_one_is_config_error(tmp_path, capsys, monkeypatch, top):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rank", "histogram", "mine", "baseline", "sweep"])
+@pytest.mark.parametrize("delay", ["0", "-5"])
+def test_max_delay_below_one_is_config_error(tmp_path, capsys, monkeypatch, command, delay):
+    """A delay below 1 would drop every DAG arc; it is refused before any input is read."""
+    files = write_chain(tmp_path)
+    out = tmp_path / "out"
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("--max-delay is checked before the inputs are loaded")
+
+    for name in ("load_graph", "load_log", "load_table", "global_followup_stats"):
+        monkeypatch.setattr(harness, name, not_reached)
+    args = {
+        "rank": ["--graph", str(files["graph"]), "--actions", str(files["actions"]), "--out", str(out)],
+        "histogram": ["--graph", str(files["graph"]), "--actions", str(files["actions"]), "--out", str(out)],
+        "mine": attr_args(files) + ["--out", str(out)],
+        "baseline": attr_args(files) + ["--algo", "random", "--out", str(out)],
+        "sweep": attr_args(files) + ["--axis", "k", "--values", "1,2", "--out", str(out)],
+    }[command]
+    code, err = run_error([command, *args, "--max-delay", delay], capsys)
+    assert code == 2
+    assert "max_delay" in err
+    assert not out.exists()
+
+
 def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     files = write_chain(tmp_path)
     files["graph"].write_bytes(b"1\t2\n\xff\xfe\n")

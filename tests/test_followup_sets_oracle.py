@@ -9,7 +9,6 @@ import pytest
 
 from followups.ingestion import (
     ActionLog,
-    ActionRecord,
     SocialGraph,
     build_propagation_graph,
     compute_followup_set,
@@ -35,7 +34,7 @@ def random_instance(rng: random.Random):
     records = []
     for a in range(rng.randint(1, 7)):
         for u in rng.sample(users, rng.randint(1, len(users))):
-            records.append(ActionRecord(u, f"a{a}", rng.randint(0, 6)))
+            records.append((u, f"a{a}", rng.randint(0, 6)))
     log = ActionLog(records)
     max_delay = rng.choice((None, None, 1, 2, 3))
     influencers = rng.sample(users, rng.randint(1, len(users)))
@@ -87,7 +86,7 @@ def test_followup_sets_match_single_influencer_oracle():
 
 def test_followup_sets_input_order_and_duplicates():
     graph = SocialGraph.from_arcs([(1, 2), (2, 3)])
-    log = ActionLog([ActionRecord(1, "a", 1), ActionRecord(2, "a", 2), ActionRecord(3, "a", 3)])
+    log = ActionLog([(1, "a", 1), (2, "a", 2), (3, "a", 3)])
     assert [len(f) for f in followup_sets(graph, log, [2, 1, 9])] == [1, 2, 0]
     with pytest.raises(ValueError, match="duplicate influencer"):
         next(followup_sets(graph, log, [1, 1]))

@@ -305,6 +305,23 @@ def test_pipeline_builds_each_dag_at_most_twice(tmp_path, monkeypatch):
     assert max(Counter(builds).values()) <= 2
 
 
+def test_rank_builds_each_dag_once(tmp_path, monkeypatch):
+    """`rank` makes one propagation pass: exactly one DAG build per action."""
+    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
+    graph, log = harness.load_graph(paths["graph"]), harness.load_log(paths["actions"])
+    builds = []
+    build = ingestion.build_propagation_graph
+
+    def counted(graph, log, action, max_delay=None):
+        builds.append(action)
+        return build(graph, log, action, max_delay)
+
+    monkeypatch.setattr(ingestion, "build_propagation_graph", counted)
+    harness.rank_csv(graph, log, 100)
+    assert len(builds) == len(log.actions)
+    assert sorted(builds) == list(log.actions)
+
+
 # --- rendering ------------------------------------------------------------
 
 def doc_with(rows, total=100, covered=60):

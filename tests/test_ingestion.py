@@ -75,6 +75,15 @@ def test_parse_log_keeps_earliest_duplicate():
     assert log.performers("a") == ((1, 3),)
 
 
+def test_action_log_keeps_earliest_of_repeated_pair():
+    log = ActionLog([(1, "a", 3), (1, "a", 1), (2, "a", 2)])
+    assert len(log) == 2
+    assert log.performers("a") == ((1, 1), (2, 2))
+    assert log.actions_of(1) == ("a",)
+    fset = compute_followup_set(graph_of("1\t2"), log, 1)
+    assert fset.cells == (Cell("a", 2),)
+
+
 def test_parse_log_empty():
     assert len(log_of("")) == 0
 
