@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, ResourceLimitError
 from .featurization import PredicateIndex, predicate_popularity
@@ -47,49 +47,52 @@ def _weighted_draws(rng: random.Random, pool: list[tuple[int, int]], count: int)
     return picked
 
 
-def random_baseline(index: PredicateIndex, k: int, l: int, seed: int) -> ExplanationSet:
-    """k explanations of l distinct predicates each, drawn with probability
-    proportional to their cell counts. Fully determined by the seed."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+def random_explanations(index: PredicateIndex, l: int, seed: int) -> Iterator[Explanation]:
+    """Endless stream of explanations of l distinct predicates each, drawn
+    with probability proportional to their cell counts from one rng seeded
+    with `seed`; the first k are `random_baseline` at k. A catalog smaller
+    than l raises ConfigError on the first draw."""
     if index.n_predicates < l:
         raise ConfigError(f"catalog has {index.n_predicates} predicates, need at least l={l}")
     rng = random.Random(seed)
     weights = [(pid, index.bits[pid].bit_count()) for pid in range(index.n_predicates)]
     unmarked = index.full_mask
-    explanations = []
-    for _ in range(k):
-        pids = _weighted_draws(rng, weights, l)
-        expl, unmarked = _make_explanation(index, pids, unmarked)
-        explanations.append(expl)
-    eset = _finish(index, explanations)
+    while True:
+        expl, unmarked = _make_explanation(index, _weighted_draws(rng, weights, l), unmarked)
+        yield expl
+
+
+def random_baseline(index: PredicateIndex, k: int, l: int, seed: int) -> ExplanationSet:
+    """k explanations of l distinct predicates each, drawn with probability
+    proportional to their cell counts. Fully determined by the seed."""
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    eset = _finish(index, list(islice(random_explanations(index, l, seed), k)))
     eset.algorithm = "random"
     eset.seed = seed
     return eset
 
 
-def most_popular_baseline(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
-    """Pack predicates into explanations in popularity order: explanation i
-    takes the next l most popular predicates not yet used. A catalog smaller
-    than k*l truncates the tail and flags the output."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
+def most_popular_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
+    """Predicates packed in popularity order: explanation i takes the next l
+    most popular predicates not yet used. The stream ends with the catalog,
+    so its last explanation may have fewer than l predicates."""
     order = [pid for pid, _ in predicate_popularity(index)]
     unmarked = index.full_mask
-    explanations = []
-    truncated = False
-    for i in range(k):
-        pids = order[i * l : (i + 1) * l]
-        if not pids:
-            truncated = True
-            break
-        if len(pids) < l:
-            truncated = True
-        expl, unmarked = _make_explanation(index, pids, unmarked)
-        explanations.append(expl)
+    for start in range(0, len(order), l):
+        expl, unmarked = _make_explanation(index, order[start : start + l], unmarked)
+        yield expl
+
+
+def most_popular_baseline(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
+    """The first k explanations of `most_popular_explanations`. A catalog
+    smaller than k*l truncates the tail and flags the output."""
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    explanations = list(islice(most_popular_explanations(index, l), k))
     eset = _finish(index, explanations)
     eset.algorithm = "most-popular"
-    eset.truncated = truncated
+    eset.truncated = len(explanations) < k or any(len(e.predicates) < l for e in explanations)
     return eset
 
 
@@ -101,28 +104,28 @@ def nominal_combination_count(index: PredicateIndex, l: int, unmarked: int | Non
     return math.comb(candidates, l)
 
 
-def exhaustive_baseline(
-    index: PredicateIndex, k: int, l: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> ExplanationSet:
-    """Per iteration, pick the l-predicate combination with the largest
-    marginal coverage over unmarked cells.
+def exhaustive_explanations(
+    index: PredicateIndex, l: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Iterator[Explanation]:
+    """Per iteration, yield the l-predicate combination with the largest
+    marginal coverage over unmarked cells; the first k are
+    `exhaustive_baseline` at k.
 
     Enumeration is depth-first in ascending predicate id over predicates with
     non-empty unmarked postings; a branch is cut as soon as its running
     intersection cannot strictly beat the incumbent, which never changes the
     result because intersections only shrink. Ties go to the
-    lexicographically least combination. Exceeding `node_budget` explored
-    branches raises; the search is never silently truncated.
+    lexicographically least combination. The stream stops when fewer than l
+    candidates remain or no combination covers an unmarked cell. Branches
+    explored are counted across the whole stream; exceeding `node_budget`
+    raises, so the search is never silently truncated.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
     unmarked = index.full_mask
-    explanations = []
     visited = 0
-    for _ in range(k):
+    while True:
         candidates = [pid for pid in range(index.n_predicates) if index.bits[pid] & unmarked]
         if len(candidates) < l:
-            break
+            return
         best_combo: tuple[int, ...] | None = None
         best_cov = 0
         # stack of (candidate position, chosen prefix, intersection & unmarked)
@@ -152,10 +155,19 @@ def exhaustive_baseline(
                 if child.bit_count() > best_cov:
                     stack.append((j, prefix + (candidates[j],), child))
         if best_combo is None:
-            break
+            return
         expl, unmarked = _make_explanation(index, best_combo, unmarked)
-        explanations.append(expl)
-    eset = _finish(index, explanations)
+        yield expl
+
+
+def exhaustive_baseline(
+    index: PredicateIndex, k: int, l: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ExplanationSet:
+    """The first k explanations of `exhaustive_explanations`: per iteration,
+    the l-predicate combination with the largest marginal coverage."""
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    eset = _finish(index, list(islice(exhaustive_explanations(index, l, node_budget), k)))
     eset.algorithm = "exhaustive"
     return eset
 

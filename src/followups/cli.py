@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="coverage sweep over k or l")
     _add_input_args(p, attrs=True)
     p.add_argument("--axis", choices=("k", "l"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated ascending axis values")
+    p.add_argument("--values", required=True, help="comma-separated strictly ascending axis values")
     p.add_argument("--algos", default="greedy,most-popular,random", help="comma-separated algorithms")
     p.add_argument("--timing-out", type=Path, default=None, help="also write wall-clock medians (not deterministic)")
     _add_mining_args(p)

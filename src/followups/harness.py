@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import baselines, miner
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, FollowupsError, ParseError
 from .featurization import (
     ACTION,
     TARGET_FOLLOWER,
@@ -67,6 +68,8 @@ class RunConfig:
             raise ConfigError("k, l and top_n must all be >= 1")
         if self.nbins < 1:
             raise ConfigError(f"nbins must be >= 1, got {self.nbins}")
+        if self.node_budget < 1:
+            raise ConfigError(f"node budget must be >= 1, got {self.node_budget}")
         require_max_delay(self.max_delay)
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
@@ -272,6 +275,53 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
 
 
+def _explanation_stream(config: RunConfig, algo: str, index: PredicateIndex):
+    """The generator behind a sequential algorithm at `config.l`: its first k
+    explanations are that algorithm's run at k. None for the oracle, whose
+    best k-set need not extend its best (k-1)-set."""
+    if algo == "greedy":
+        return miner.greedy_explanations(index, config.l)
+    if algo == "eager":
+        return miner.eager_explanations(index, config.l)
+    if algo == "random":
+        return baselines.random_explanations(index, config.l, config.seed)
+    if algo == "most-popular":
+        return baselines.most_popular_explanations(index, config.l)
+    if algo == "exhaustive":
+        return baselines.exhaustive_explanations(index, config.l, config.node_budget)
+    return None
+
+
+def _sweep_runs(
+    config: RunConfig, axis: str, values: Sequence[int], algo: str, index: PredicateIndex
+) -> Iterator[tuple[float, float]]:
+    """(relative coverage, milliseconds) of `algo` on `index` at each value
+    in turn; an error is raised at the first value whose run raises it.
+
+    On axis k a sequential algorithm runs once, as a stream taken up to the
+    largest value: its coverage at k is that of its first k explanations,
+    and its time is the time until the k-th (or until the stream ended).
+    Every other run is one mining call per value.
+    """
+    stream = _explanation_stream(config, algo, index) if axis == "k" else None
+    if stream is None:
+        for value in values:
+            k, l = (value, config.l) if axis == "k" else (config.k, value)
+            t0 = time.perf_counter()
+            eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
+            yield eset.relative_coverage, (time.perf_counter() - t0) * 1000.0
+        return
+    union = taken = 0
+    millis = 0.0
+    for k in values:
+        t0 = time.perf_counter()
+        for expl in islice(stream, k - taken):
+            union |= expl.covered_bits
+            taken += 1
+        millis += (time.perf_counter() - t0) * 1000.0
+        yield (union.bit_count() / index.n_cells if index.n_cells else 0.0), millis
+
+
 def sweep(
     config: RunConfig,
     axis: str,
@@ -280,13 +330,25 @@ def sweep(
 ) -> SweepResult:
     """Run each algorithm over the top influencers for every axis value,
     recording per-influencer relative coverages, their median, and the median
-    wall-clock time of the mining call alone."""
+    wall-clock milliseconds of mining.
+
+    On axis k, a sequential algorithm (all but the oracle) runs once per
+    influencer at the largest k, and its milliseconds at k are the time until
+    its k-th explanation within that run. Otherwise they are the time of one
+    mining call at that value.
+
+    The result, or the error raised, is that of running every (value,
+    algorithm, influencer) in that order: a failing run only stops the runs
+    after it in that order.
+    """
     if axis not in ("k", "l"):
         raise ConfigError("sweep axis must be 'k' or 'l'")
-    if not values or list(values) != sorted(values):
-        raise ConfigError("sweep values must be non-empty and ascending")
+    if not values or any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be non-empty and strictly ascending")
     if values[0] < 1:
         raise ConfigError(f"sweep values must be >= 1, got {values[0]}")
+    if not algos:
+        raise ConfigError("sweep needs at least one algorithm")
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
@@ -294,15 +356,30 @@ def sweep(
     top = list(_top_indexes(config)[1])
     indexes = [index for _, _, index in top]
     _require_indexes(indexes)
+    # runs[algo][i][j]: (coverage, ms) of algo on index i at values[j]
+    runs: dict[str, list[list[tuple[float, float]]]] = {algo: [] for algo in algos}
+    failure: FollowupsError | None = None
+    reached = len(values)  # the values every run must still reach
+    for algo in algos:
+        for index in indexes:
+            row: list[tuple[float, float]] = []
+            try:
+                for run in _sweep_runs(config, axis, values[:reached], algo, index):
+                    row.append(run)
+            except FollowupsError as exc:
+                # the per-value order stops here, so later runs need only the values before this one
+                failure, reached = exc, len(row)
+            runs[algo].append(row)
+    if failure is not None:
+        raise failure
     result = SweepResult(axis=axis, influencers=[user for user, _, _ in top])
-    for value in values:
-        k = value if axis == "k" else config.k
-        l = value if axis == "l" else config.l
+    for j, value in enumerate(values):
         point = SweepPoint(value=value, coverages={}, medians={}, millis={})
         for algo in algos:
-            covs, point.millis[algo] = _time_algorithm(config, algo, indexes, k, l)
+            covs = [row[j][0] for row in runs[algo]]
             point.coverages[algo] = covs
             point.medians[algo] = median(covs)
+            point.millis[algo] = median([row[j][1] for row in runs[algo]])
         result.points.append(point)
     return result
 

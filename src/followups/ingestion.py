@@ -47,16 +47,22 @@ class SocialGraph:
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple[int, int]], users: Iterable[int] = ()) -> "SocialGraph":
         """Build a graph from (u, v) arcs, deduplicating and registering endpoints."""
-        seen_users = set(users)
         adj: dict[int, set[int]] = {}
         for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-arc {u}->{v}")
-            seen_users.add(u)
-            seen_users.add(v)
             adj.setdefault(u, set()).add(v)
-        follower_map = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-        return cls(seen_users, follower_map)
+        return cls.from_adjacency(adj, users)
+
+    @classmethod
+    def from_adjacency(cls, adj: dict[int, set[int]], users: Iterable[int] = ()) -> "SocialGraph":
+        """Build a graph from each user's set of followers; every user named
+        is registered."""
+        seen_users = set(users)
+        seen_users.update(adj)
+        for vs in adj.values():
+            seen_users |= vs
+        return cls(seen_users, {u: tuple(sorted(vs)) for u, vs in adj.items()})
 
     def followers(self, user: int) -> tuple[int, ...]:
         """Users that follow `user`, ascending."""
@@ -152,22 +158,44 @@ def _split_line(raw: str, lineno: int, n_cols: int) -> list[str]:
 def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
     """Parse `u<TAB>v` arc lines (v follows u). `#` comments and blank lines
     are skipped; duplicate arcs collapse; self-arcs are rejected."""
-
-    def arcs() -> Iterator[tuple[int, int]]:
-        for lineno, raw in enumerate(lines, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = _split_line(raw, lineno, 2)
+    adj: dict[int, set[int]] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        # Fast path for a well-formed arc, as in `_log_rows`: whatever this
+        # accepts `_checked_arc` accepts with the same values.
+        parts = raw.split("\t")
+        if len(parts) == 2:
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: non-integer user id") from None
-            if u == v:
-                raise ParseError(f"line {lineno}: self-arc {u}->{v}")
-            yield u, v
+                pass
+            else:
+                if u != v:
+                    followers = adj.get(u)
+                    if followers is None:
+                        adj[u] = {v}
+                    else:
+                        followers.add(v)
+                    continue
+        arc = _checked_arc(raw, lineno)
+        if arc is not None:
+            adj.setdefault(arc[0], set()).add(arc[1])
+    return SocialGraph.from_adjacency(adj)
 
-    return SocialGraph.from_arcs(arcs())
+
+def _checked_arc(raw: str, lineno: int) -> tuple[int, int] | None:
+    """One graph line checked field by field: its arc, None for a blank or
+    comment line, or a ParseError naming the line."""
+    stripped = raw.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    parts = _split_line(raw, lineno, 2)
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer user id") from None
+    if u == v:
+        raise ParseError(f"line {lineno}: self-arc {u}->{v}")
+    return u, v
 
 
 def parse_action_log(lines: Iterable[str]) -> ActionLog:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .featurization import ACTION, USER, TARGET_FOLLOWER, PredicateIndex
 
@@ -155,6 +156,32 @@ def next_explanation(
     return Explanation(tuple(chosen), inter, inter.bit_count(), live.bit_count())
 
 
+def greedy_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
+    """The lazy double greedy as a stream: each explanation of up to `l`
+    predicates in turn, so the first k are `mine_explanations` at k.
+
+    The heap and the unmarked cells live in the generator. It stops once no
+    explanation can cover an unmarked cell; an empty catalog yields nothing.
+    """
+    heap = _build_heap(index)
+    unmarked = index.full_mask
+    n = 0
+    while heap:
+        stamp = n * l
+        while heap[0][2] < stamp:
+            pid = heap[0][1]
+            heapq.heapreplace(heap, (-(index.bits[pid] & unmarked).bit_count(), pid, stamp))
+        if heap[0][0] == 0:
+            return
+        # entries are immutable, so copying the heap is a shallow list copy
+        expl = next_explanation(list(heap), unmarked, index, l, n)
+        if expl.marginal_coverage == 0:
+            return
+        unmarked &= ~expl.covered_bits
+        n += 1
+        yield expl
+
+
 def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     """Lazy double greedy: up to `k` explanations of `l` predicates each.
 
@@ -163,37 +190,15 @@ def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    heap = _build_heap(index)
+    return _finish(index, list(islice(greedy_explanations(index, l), k)))
+
+
+def eager_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
+    """The eager reference greedy as a stream: each explanation in turn, so
+    the first k are `eager_greedy` at k. Stops once no predicate covers an
+    unmarked cell."""
     unmarked = index.full_mask
-    explanations: list[Explanation] = []
-    while len(explanations) < k and heap:
-        stamp = len(explanations) * l
-        while heap[0][2] < stamp:
-            pid = heap[0][1]
-            heapq.heapreplace(heap, (-(index.bits[pid] & unmarked).bit_count(), pid, stamp))
-        if heap[0][0] == 0:
-            break
-        # entries are immutable, so copying the heap is a shallow list copy
-        expl = next_explanation(list(heap), unmarked, index, l, len(explanations))
-        if expl.marginal_coverage == 0:
-            break
-        unmarked &= ~expl.covered_bits
-        explanations.append(expl)
-    return _finish(index, explanations)
-
-
-def eager_greedy(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
-    """Reference greedy recomputing every predicate's marginal at every step.
-
-    Kept deliberately independent of the heap machinery: it must produce
-    results identical to `mine_explanations` under the shared tie-break
-    (highest marginal, then lowest predicate id).
-    """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    unmarked = index.full_mask
-    explanations: list[Explanation] = []
-    while len(explanations) < k:
+    while True:
         chosen: list[int] = []
         inter = index.full_mask
         while len(chosen) < l:
@@ -212,13 +217,24 @@ def eager_greedy(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
             chosen.append(best_pid)
             inter &= index.bits[best_pid]
         if not chosen:
-            break
+            return
         newly = inter & unmarked
         if not newly:
-            break
+            return
         unmarked &= ~inter
-        explanations.append(Explanation(tuple(chosen), inter, inter.bit_count(), newly.bit_count()))
-    return _finish(index, explanations)
+        yield Explanation(tuple(chosen), inter, inter.bit_count(), newly.bit_count())
+
+
+def eager_greedy(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
+    """Reference greedy recomputing every predicate's marginal at every step.
+
+    Kept deliberately independent of the heap machinery: it must produce
+    results identical to `mine_explanations` under the shared tie-break
+    (highest marginal, then lowest predicate id).
+    """
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    return _finish(index, list(islice(eager_explanations(index, l), k)))
 
 
 def _bit_indices(bits: int) -> tuple[int, ...]:

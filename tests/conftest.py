@@ -1,7 +1,7 @@
 """Shared helpers: hand-buildable indexes, seeded random instances, and the
-simple oracles the optimised layers are checked against: the per-row action
-log parser, the per-cell propagation pass, and the per-cell index build and
-`annotate`."""
+simple oracles the optimised layers are checked against: the per-line graph
+parser, the per-row action log parser, the per-cell propagation pass, the
+per-cell index build and `annotate`, and the per-value sweep."""
 from __future__ import annotations
 
 import random
@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from followups import harness
 from followups.errors import ParseError
 from followups.featurization import (
     ACTION,
@@ -18,7 +19,7 @@ from followups.featurization import (
     PredicateIndex,
     build_predicate_index,
 )
-from followups.ingestion import Cell, FollowupSet, FollowupStats, build_propagation_graph
+from followups.ingestion import Cell, FollowupSet, FollowupStats, SocialGraph, build_propagation_graph
 
 
 class ReferenceLog:
@@ -44,6 +45,27 @@ class ReferenceLog:
 
     def actions_of(self, user: int) -> tuple[str, ...]:
         return self._by_user.get(user, ())
+
+
+def reference_parse_social_graph(lines) -> SocialGraph:
+    """The per-line graph parser: each line checked field by field, the arcs
+    handed to `SocialGraph.from_arcs`."""
+    arcs = []
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = raw.rstrip("\r\n").split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 2 tab-separated columns, got {len(parts)}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer user id") from None
+        if u == v:
+            raise ParseError(f"line {lineno}: self-arc {u}->{v}")
+        arcs.append((u, v))
+    return SocialGraph.from_arcs(arcs)
 
 
 def reference_parse_action_log(lines) -> ReferenceLog:
@@ -104,6 +126,26 @@ def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
                 influencer_counts[pg.nodes[low.bit_length() - 1]] += 1
                 sources ^= low
     return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
+
+
+def reference_sweep(config, axis, values, algos) -> harness.SweepResult:
+    """The per-value sweep: one mining call per (value, algorithm,
+    influencer), in that order."""
+    config.validate()
+    top = list(harness._top_indexes(config)[1])
+    indexes = [index for _, _, index in top]
+    harness._require_indexes(indexes)
+    result = harness.SweepResult(axis=axis, influencers=[user for user, _, _ in top])
+    for value in values:
+        k = value if axis == "k" else config.k
+        l = value if axis == "l" else config.l
+        point = harness.SweepPoint(value=value, coverages={}, medians={}, millis={})
+        for algo in algos:
+            covs, point.millis[algo] = harness._time_algorithm(config, algo, indexes, k, l)
+            point.coverages[algo] = covs
+            point.medians[algo] = harness.median(covs)
+        result.points.append(point)
+    return result
 
 
 def postings_of(index: PredicateIndex) -> tuple[tuple[int, ...], ...]:

@@ -176,6 +176,48 @@ def test_sweep_value_zero_is_config_error(tmp_path, capsys):
     assert "sweep values" in err
 
 
+def refuse_input_loading(monkeypatch, what: str) -> None:
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{what} is checked before the inputs are loaded")
+
+    for name in ("load_graph", "load_log", "load_table", "global_followup_stats"):
+        monkeypatch.setattr(harness, name, not_reached)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--values", "1,2", "--algos", ","], "at least one algorithm"),
+        (["--values", "1,1"], "strictly ascending"),
+    ],
+)
+def test_sweep_without_algorithms_or_with_repeated_values_is_config_error(tmp_path, capsys, monkeypatch, flags, message):
+    files = write_chain(tmp_path)
+    out = tmp_path / "out"
+    refuse_input_loading(monkeypatch, "the sweep's values and algorithms")
+    code, err = run_error(["sweep", *attr_args(files), "--axis", "k", *flags, "--out", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, algo", [("baseline", "exhaustive"), ("sweep", None)])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_config_error(tmp_path, capsys, monkeypatch, command, algo, budget):
+    """A budget below 1 would trip on the first node; it is refused before any input is read."""
+    files = write_chain(tmp_path)
+    out = tmp_path / "out"
+    refuse_input_loading(monkeypatch, "--budget")
+    if command == "baseline":
+        args = ["--algo", algo]
+    else:
+        args = ["--axis", "k", "--values", "1,2", "--algos", "exhaustive"]
+    code, err = run_error([command, *attr_args(files), *args, "--budget", budget, "--out", str(out)], capsys)
+    assert code == 2
+    assert "node budget must be >= 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["", "not json {"])
 def test_render_unreadable_input_names_the_file(tmp_path, capsys, text):
     path = tmp_path / "doc.json"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from followups import harness, ingestion
+from followups import baselines, harness, ingestion, miner
 from followups.errors import ConfigError, ResourceLimitError
 from followups.featurization import build_predicate_index
 from followups.harness import (
@@ -277,6 +277,45 @@ def test_driver_one_pass_and_one_index_per_influencer(tmp_path, monkeypatch, top
             # streaming: index i is built once explanation files 0..i-1 are written
             assert [written for event, written in events if event == "build_predicate_index"] == list(range(expected))
         monkeypatch.undo()
+
+
+def test_sweep_over_k_starts_each_stream_once_per_influencer(tmp_path, monkeypatch):
+    """On axis k a sequential algorithm runs once per influencer, at the
+    largest k; the oracle, which is not sequential, runs once per value."""
+    config = write_chain(tmp_path)
+    config.top_n = 2
+    config.l = 1
+    calls = Counter()
+
+    def counted(module, name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in (
+        (miner, "greedy_explanations"),
+        (miner, "eager_explanations"),
+        (baselines, "random_explanations"),
+        (baselines, "most_popular_explanations"),
+        (baselines, "exhaustive_explanations"),
+    ):
+        counted(module, name, getattr(module, name))
+    oracle = baselines.brute_force_oracle
+    # the chain's catalogs are tiny; only the guard on k is lifted
+    counted(baselines, "brute_force_oracle", lambda index, k, l: oracle(index, k, l, max_k=6))
+    values = [1, 2, 3, 4, 5, 6]
+    result = sweep(config, "k", values, ["greedy", "eager", "random", "most-popular", "exhaustive", "oracle"])
+    assert len(result.influencers) == 2
+    assert calls == {
+        "greedy_explanations": 2,
+        "eager_explanations": 2,
+        "random_explanations": 2,
+        "most_popular_explanations": 2,
+        "exhaustive_explanations": 2,
+        "brute_force_oracle": 2 * len(values),
+    }
 
 
 def test_pipeline_builds_each_dag_at_most_twice(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""The action log parser against its per-row reference on seeded random logs,
-and seeded random line and byte mutations of all three input parsers.
+"""The action log and graph parsers against their per-line references on
+seeded random inputs, and seeded random line and byte mutations of all three
+input parsers.
 
-A mutated input must parse (to the reference's result, for the action log)
-or raise a ParseError that names the line; no other exception may escape.
+A mutated input must parse (to the reference's result, for the action log
+and the graph) or raise a ParseError that names the line, the reference's
+exact error for those two; no other exception may escape.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import random
 import re
 from collections import Counter
 
-from conftest import reference_parse_action_log
+from conftest import reference_parse_action_log, reference_parse_social_graph
 from followups.errors import ParseError
 from followups.featurization import ACTION, USER, AttributeTable, load_attribute_table
 from followups.ingestion import SocialGraph, parse_action_log, parse_social_graph
@@ -63,6 +65,32 @@ def random_log_text(rng: random.Random) -> str:
 def random_graph_text(rng: random.Random) -> str:
     arcs = [f"{u}\t{v}" for u in range(1, 8) for v in range(1, 8) if u != v and rng.random() < 0.2]
     return "# follow arcs\n" + "\n".join(arcs) + "\n"
+
+
+def random_valid_graph_text(rng: random.Random) -> str:
+    """A valid graph with repeated arcs, comments, blank lines, padded or
+    signed ids and mixed LF/CRLF endings."""
+    lines = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(("# a comment", "   # indented", "#\t1\t2")))
+        elif roll < 0.2:
+            lines.append(rng.choice(("", "  ", "\t\t")))
+        elif roll < 0.35 and lines:
+            lines.append(rng.choice(lines))
+        else:
+            u, v = rng.sample(range(1, 10), 2)
+            fields = [str(u), str(v)]
+            if rng.random() < 0.1:
+                i = rng.randrange(2)
+                fields[i] = rng.choice((f" {fields[i]} ", f"+{fields[i]}", f"0{fields[i]}"))
+            lines.append("\t".join(fields))
+    endings = [rng.choice(("\n", "\n", "\r\n")) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text
 
 
 def random_table_text(rng: random.Random, dimension: str) -> str:
@@ -181,3 +209,44 @@ def test_mutated_graphs_and_tables_parse_or_fail_on_a_line():
                 assert isinstance(result, result_type), (name, i)
             kinds[kind] += 1
         assert kinds["ok"] >= 50 and kinds["error"] >= 50, (name, kinds)
+
+
+def graph_contents(graph) -> tuple:
+    return graph.users, graph.n_arcs, {u: graph.followers(u) for u in graph.users}
+
+
+def assert_same_graph(text: str, seed) -> str:
+    """Parse `text` with both graph parsers; they must agree."""
+    kind, got = outcome(parse_social_graph, text)
+    ref_kind, ref = outcome(reference_parse_social_graph, text)
+    assert kind == ref_kind, (seed, got, ref)
+    if kind == "error":
+        assert got == ref, seed
+    else:
+        assert graph_contents(got) == graph_contents(ref), seed
+    return kind
+
+
+def test_graph_matches_per_line_reference():
+    covered = Counter()
+    for i in range(LOGS):
+        rng = random.Random(83_000 + i)
+        text = random_valid_graph_text(rng)
+        assert assert_same_graph(text, i) == "ok"
+        lines = text.splitlines()
+        arcs = [line for line in lines if line.strip() and not line.strip().startswith("#")]
+        covered["repeated-arc"] += len(arcs) > len(set(arcs))
+        covered["comment"] += len(arcs) < len(lines)
+        covered["crlf"] += "\r\n" in text
+        covered["padded"] += any(" " in a or "+" in a for a in arcs)
+    for case in ("repeated-arc", "comment", "crlf", "padded"):
+        assert covered[case] >= 20, (case, covered)
+
+
+def test_mutated_graphs_match_reference_or_fail_on_a_line():
+    kinds = Counter()
+    for i in range(MUTANTS):
+        rng = random.Random(84_000 + i)
+        make = random_valid_graph_text if i % 2 else random_graph_text
+        kinds[assert_same_graph(mutate(rng, make(rng)), i)] += 1
+    assert kinds["ok"] >= 50 and kinds["error"] >= 50, kinds
