@@ -17,6 +17,7 @@ from .featurization import (
     AttributeTable,
     BinSpec,
     Predicate,
+    PredicateCatalog,
     PredicateIndex,
     bin_numeric_attribute,
     build_predicate_index,
@@ -71,6 +72,7 @@ __all__ = [
     "NotFoundError",
     "ParseError",
     "Predicate",
+    "PredicateCatalog",
     "PredicateIndex",
     "PropagationGraph",
     "ResourceLimitError",

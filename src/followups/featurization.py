@@ -1,12 +1,18 @@
-"""Attribute tables, equi-depth binning, and the predicate -> cell index.
+"""Attribute tables, equi-depth binning, the run's predicate catalog, and
+the predicate -> cell index.
 
 A predicate is an `attribute = value` test on either the action or the
 follower of a cell. Numeric attributes are binned first so that equality is
 the only comparison the miner ever needs.
+
+A run builds one `PredicateCatalog` once its bins are resolved: every key
+the tables can produce gets an int id in sorted key order, and each
+entity's ids are computed once and shared by every influencer's index.
 """
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
@@ -48,9 +54,12 @@ class AttributeTable:
             if attribute in attrs:
                 raise ValueError(f"duplicate value for numeric attribute {attribute!r} of {entity!r}")
             try:
-                attrs[attribute] = (float(value),)
+                number = float(value)
             except ValueError:
                 raise ValueError(f"non-numeric value {value!r} for numeric attribute {attribute!r}") from None
+            if not math.isfinite(number):
+                raise ValueError(f"non-finite value {value!r} for numeric attribute {attribute!r}")
+            attrs[attribute] = (number,)
         else:
             current = attrs.get(attribute, ())
             if value not in current:
@@ -65,6 +74,14 @@ class AttributeTable:
     def items(self, entity: Hashable):
         """(attribute, values) pairs of one entity, in insertion order."""
         return self._rows.get(entity, {}).items()
+
+    def distinct_values(self) -> dict[str, set]:
+        """Every attribute's values over all entities."""
+        found: dict[str, set] = {}
+        for attrs in self._rows.values():
+            for attribute, values in attrs.items():
+                found.setdefault(attribute, set()).update(values)
+        return found
 
     def values(self, entity: Hashable, attribute: str) -> tuple:
         return self._rows.get(entity, {}).get(attribute, ())
@@ -84,6 +101,20 @@ def load_attribute_table(lines: Iterable[str], dimension: str) -> AttributeTable
     numeric: set[str] = set()
     saw_data = False
     for lineno, raw in enumerate(lines, start=1):
+        # Fast path for a well-formed row, as in `_log_rows`: whatever this
+        # accepts the checked path below accepts with the same values.
+        parts = raw.split("\t")
+        if len(parts) == 3:
+            entity_raw, attribute, value = parts[0].strip(), parts[1].strip(), parts[2].strip()
+            if entity_raw and attribute and value and entity_raw[0] != "#":
+                try:
+                    entity = int(entity_raw) if dimension == USER else entity_raw
+                except ValueError:
+                    pass
+                else:
+                    saw_data = True
+                    _add_row(table, entity, attribute, value, lineno)
+                    continue
         stripped = raw.strip()
         if not stripped:
             continue
@@ -108,11 +139,15 @@ def load_attribute_table(lines: Iterable[str], dimension: str) -> AttributeTable
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer user id {entity_raw!r}") from None
         saw_data = True
-        try:
-            table.add(entity, attribute, value)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        _add_row(table, entity, attribute, value, lineno)
     return table
+
+
+def _add_row(table: AttributeTable, entity: Hashable, attribute: str, value: str, lineno: int) -> None:
+    try:
+        table.add(entity, attribute, value)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,6 +160,8 @@ class BinSpec:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(b) for b in self.boundaries):
+            raise ValueError("boundaries must be finite")
         if any(a >= b for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must be strictly increasing")
         if len(self.labels) != len(self.boundaries) + 1:
@@ -240,10 +277,82 @@ def bin_numeric_attribute(
 
 
 class Predicate(NamedTuple):
-    pid: int
+    """The key of one predicate: `attribute = value` on one dimension."""
+
     dimension: str
     attribute: str
     value: str
+
+
+class PredicateCatalog:
+    """Every predicate one run's attribute tables can produce, interned as an
+    int id in sorted key order, and each entity's predicate ids, memoised.
+
+    Built once per run, after the bins are resolved, by one scan of the
+    table rows plus each bin's labels. `predicates[gid]` is the key of id
+    `gid`, so ids order as their keys do, and every action id is below
+    `n_action_keys` and every user id at or above it.
+    `entity_ids[dimension][entity]` is the frozenset of ids the entity
+    satisfies (empty for one the table does not hold): computed on the
+    first lookup and kept for the run, with equal sets stored once.
+    """
+
+    def __init__(
+        self,
+        user_attrs: AttributeTable,
+        action_attrs: AttributeTable,
+        bins: Iterable[BinSpec] = (),
+        target: str = TARGET_FOLLOWER,
+    ):
+        if user_attrs.dimension != USER or action_attrs.dimension != ACTION:
+            raise ConfigError("attribute tables passed with mismatched dimensions")
+        if target not in (TARGET_FOLLOWER, TARGET_INFLUENCER):
+            raise ConfigError(f"unknown user-predicate target {target!r}")
+        binmap = {spec.attribute: spec for spec in bins}
+        keys = set()
+        for table in (user_attrs, action_attrs):
+            missing = sorted(a for a in table.numeric if a not in binmap)
+            if missing:
+                raise ConfigError(f"no bin spec for numeric attribute(s): {', '.join(missing)}")
+            for attribute in table.numeric:
+                keys.update((table.dimension, attribute, label) for label in binmap[attribute].labels)
+            for attribute, values in table.distinct_values().items():
+                if attribute not in table.numeric:
+                    keys.update((table.dimension, attribute, value) for value in values)
+        self.user_attrs = user_attrs
+        self.action_attrs = action_attrs
+        self.bins = binmap
+        self.target = target
+        self.predicates = tuple(Predicate(*key) for key in sorted(keys))
+        self.key_ids = {key: gid for gid, key in enumerate(self.predicates)}
+        self.n_action_keys = bisect_left(self.predicates, (USER,))
+        self.entity_ids = {USER: _EntityIds(self, user_attrs), ACTION: _EntityIds(self, action_attrs)}
+        self._shared: dict[frozenset[int], frozenset[int]] = {}
+
+    def _entity_ids(self, table: AttributeTable, entity: Hashable) -> frozenset[int]:
+        key_ids = self.key_ids
+        dimension = table.dimension
+        ids = []
+        for attribute, values in table.items(entity):
+            if attribute in table.numeric:
+                ids.append(key_ids[(dimension, attribute, self.bins[attribute].label_of(values[0]))])
+            else:
+                ids += [key_ids[(dimension, attribute, value)] for value in values]
+        ids = frozenset(ids)
+        return self._shared.setdefault(ids, ids)
+
+
+class _EntityIds(dict):
+    """entity -> frozenset of catalog ids, computed on its first lookup."""
+
+    def __init__(self, catalog: PredicateCatalog, table: AttributeTable):
+        super().__init__()
+        self._catalog = catalog
+        self._table = table
+
+    def __missing__(self, entity: Hashable) -> frozenset[int]:
+        ids = self[entity] = self._catalog._entity_ids(self._table, entity)
+        return ids
 
 
 class PredicateIndex:
@@ -251,60 +360,39 @@ class PredicateIndex:
 
     `bits[pid]` is the one representation of a predicate's cells: bit c is
     set when cell c satisfies predicate pid. Predicates that match no cell
-    never enter the catalog.
-
-    `action_keys` and `user_keys` keep the build's per-entity predicate keys
-    `(dimension, attribute, value)` for the entities `miner.annotate` reads:
-    every action the influencer performed, and the active followers (or the
-    influencer alone under the influencer target).
+    never enter the index. A local pid is a position in `key_ids`, the
+    ascending catalog ids of the index's predicates, so pids follow sorted
+    key order; `predicates[pid]` is that id's key.
     """
 
     def __init__(
         self,
         followup_set: FollowupSet,
-        user_attrs: AttributeTable,
-        action_attrs: AttributeTable,
-        bins: Mapping[str, BinSpec],
-        target: str,
-        predicates: tuple[Predicate, ...],
+        catalog: PredicateCatalog,
+        key_ids: tuple[int, ...],
         bits: tuple[int, ...],
-        action_keys: Mapping[Hashable, frozenset],
-        user_keys: Mapping[Hashable, frozenset],
     ):
         self.followup_set = followup_set
-        self.user_attrs = user_attrs
-        self.action_attrs = action_attrs
-        self.bins = dict(bins)
-        self.target = target
-        self.predicates = predicates
+        self.catalog = catalog
+        self.key_ids = key_ids
+        self.predicates = tuple(map(catalog.predicates.__getitem__, key_ids))
         self.bits = bits
-        self.action_keys = action_keys
-        self.user_keys = user_keys
         self.n_cells = len(followup_set)
-        self.n_predicates = len(predicates)
+        self.n_predicates = len(key_ids)
         self.full_mask = (1 << self.n_cells) - 1
-        self._pid_by_key = {(p.dimension, p.attribute, p.value): p.pid for p in predicates}
 
     def pid_of(self, dimension: str, attribute: str, value: str) -> int:
-        return self._pid_by_key[(dimension, attribute, value)]
-
-
-def _entity_predicate_keys(
-    table: AttributeTable, entity: Hashable, dimension: str, bins: Mapping[str, BinSpec]
-) -> frozenset[tuple[str, str, str]]:
-    keys = []
-    for attribute, values in table.items(entity):
-        if attribute in table.numeric:
-            keys.append((dimension, attribute, bins[attribute].label_of(values[0])))
-        else:
-            keys += [(dimension, attribute, value) for value in values]
-    return frozenset(keys)
+        gid = self.catalog.key_ids.get((dimension, attribute, value), -1)
+        pid = bisect_left(self.key_ids, gid)
+        if pid == self.n_predicates or self.key_ids[pid] != gid:
+            raise KeyError((dimension, attribute, value))
+        return pid
 
 
 def build_predicate_index(
     fset: FollowupSet,
-    user_attrs: AttributeTable,
-    action_attrs: AttributeTable,
+    catalog: PredicateCatalog | AttributeTable,
+    action_attrs: AttributeTable | None = None,
     bins: Iterable[BinSpec] = (),
     target: str = TARGET_FOLLOWER,
 ) -> PredicateIndex:
@@ -314,77 +402,58 @@ def build_predicate_index(
     follower (or the influencer under the alternate target). Entities missing
     an attribute simply satisfy none of its predicates.
 
-    Keys are computed once per distinct action and user, not per cell. Each
-    run of consecutive cells sharing an action sets its action predicates'
-    bits as one slice, and each predicate's bitset is packed from a byte
-    buffer in one conversion.
-    """
-    if user_attrs.dimension != USER or action_attrs.dimension != ACTION:
-        raise ConfigError("attribute tables passed with mismatched dimensions")
-    if target not in (TARGET_FOLLOWER, TARGET_INFLUENCER):
-        raise ConfigError(f"unknown user-predicate target {target!r}")
-    binmap = {spec.attribute: spec for spec in bins}
-    for table in (user_attrs, action_attrs):
-        missing = sorted(a for a in table.numeric if a not in binmap)
-        if missing:
-            raise ConfigError(f"no bin spec for numeric attribute(s): {', '.join(missing)}")
+    Takes the run's `PredicateCatalog`. The form
+    `build_predicate_index(fset, user_attrs, action_attrs, bins, target)`
+    builds a catalog of those tables for this one call.
 
+    An entity's ids come from the catalog, computed once per run.
+    Each run of consecutive cells sharing an action sets its action
+    predicates' bits as one slice, and each predicate's bitset is packed
+    from a byte buffer in one conversion, in time linear in the cells.
+    """
+    if not isinstance(catalog, PredicateCatalog):
+        catalog = PredicateCatalog(catalog, action_attrs, bins, target)
+    elif action_attrs is not None or bins or target != TARGET_FOLLOWER:
+        raise TypeError("tables, bins and target come from the catalog")
     cells = fset.cells
     n = len(cells)
-    action_runs = []  # (action, start, stop) per run of cells sharing an action
-    start = 0
+    # Bit c of a bitset is character n-1-c of its base-2 numeral, so cell 0
+    # is the numeral's last character. Per catalog id: the numeral slices
+    # [start, stop) its action runs fill, and the numeral positions of its
+    # single cells.
+    slices: dict[int, list[tuple[int, int]]] = {}
+    singles: dict[int, list[int]] = {}
+    action_ids = catalog.entity_ids[ACTION]
+    stop = n
     for action, group in groupby(cells, itemgetter(0)):
-        stop = start + len(list(group))
-        action_runs.append((action, start, stop))
-        start = stop
-    action_keys = {
-        a: _entity_predicate_keys(action_attrs, a, ACTION, binmap)
-        for a in dict.fromkeys([*fset.actions_performed, *(a for a, _, _ in action_runs)])
-    }
-    # key -> cell ranges [start, stop) it holds, and single cell ids it holds
-    ranges: dict[tuple, list[tuple[int, int]]] = {}
-    singles: dict[tuple, list[int]] = {}
-    for action, start, stop in action_runs:
-        for key in action_keys[action]:
-            ranges.setdefault(key, []).append((start, stop))
-    if target == TARGET_FOLLOWER:
-        user_keys = {v: _entity_predicate_keys(user_attrs, v, USER, binmap) for v in fset.active_followers}
-        cells_of: dict[int, list[int]] = {}
-        for cell_id, cell in enumerate(cells):
-            cells_of.setdefault(cell.follower, []).append(cell_id)
-        for v, cell_ids in cells_of.items():
-            for key in user_keys[v]:
-                singles.setdefault(key, []).extend(cell_ids)
-    else:
-        user_keys = {fset.influencer: _entity_predicate_keys(user_attrs, fset.influencer, USER, binmap)}
-        if n:
-            for key in user_keys[fset.influencer]:
-                ranges[key] = [(0, n)]
+        start = stop - len(list(group))
+        for gid in action_ids[action]:
+            slices.setdefault(gid, []).append((start, stop))
+        stop = start
+    user_ids = catalog.entity_ids[USER]
+    if catalog.target == TARGET_FOLLOWER:
+        positions: dict[int, list[int]] = {}
+        for pos, (_, v) in zip(range(n - 1, -1, -1), cells):
+            positions.setdefault(v, []).append(pos)
+        for v, cell_positions in positions.items():
+            for gid in user_ids[v]:
+                singles.setdefault(gid, []).extend(cell_positions)
+    elif n:
+        for gid in user_ids[fset.influencer]:
+            slices[gid] = [(0, n)]
 
-    catalog = sorted(ranges.keys() | singles.keys())
+    key_ids = sorted(slices.keys() | singles.keys())
     zeros = b"0" * n
     ones = memoryview(b"1" * n)
     bits = []
-    for key in catalog:
-        # Bit c of the bitset is character n-1-c of its base-2 numeral.
+    for gid in key_ids:
         buf = bytearray(zeros)
-        for lo, hi in ranges.get(key, ()):
+        for lo, hi in slices.get(gid, ()):
             buf[lo:hi] = ones[lo:hi]
-        for cell_id in singles.get(key, ()):
-            buf[cell_id] = 49  # ord("1")
-        buf.reverse()
+        for pos in singles.get(gid, ()):
+            buf[pos] = 49  # ord("1")
         bits.append(int(buf, 2))
-    return PredicateIndex(
-        fset,
-        user_attrs,
-        action_attrs,
-        binmap,
-        target,
-        tuple(Predicate(pid, *key) for pid, key in enumerate(catalog)),
-        tuple(bits),
-        action_keys,
-        user_keys,
-    )
+    return PredicateIndex(fset, catalog, tuple(key_ids), tuple(bits))
 
 
 def predicate_popularity(index: PredicateIndex) -> list[tuple[int, int]]:

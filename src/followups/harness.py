@@ -20,6 +20,7 @@ from .featurization import (
     USER,
     AttributeTable,
     BinSpec,
+    PredicateCatalog,
     PredicateIndex,
     bin_numeric_attribute,
     bins_from_json,
@@ -171,6 +172,7 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
     over the top `config.top_n` influencers, so that a consumer which drops
     each index before the next keeps one alive at a time. Their followup sets
     come from one `followup_sets` pass, made when the first index is asked for.
+    Every index shares one `PredicateCatalog`, built once the bins are known.
     """
     graph = load_graph(config.graph)
     log = load_log(config.actions)
@@ -181,12 +183,13 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
         bins = prepare_bins(user_attrs, action_attrs, stats, config.nbins)
     else:
         bins = _parse_file(config.bins, lambda fh: bins_from_json(fh.read()))
+    catalog = PredicateCatalog(user_attrs, action_attrs, bins, config.target)
     ranked = rank_influencers(stats.influencer_counts, config.top_n)
 
     def indexes():
         fsets = followup_sets(graph, log, [user for user, _ in ranked], config.max_delay)
         for (user, count), fset in zip(ranked, fsets):
-            yield user, count, build_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
+            yield user, count, build_predicate_index(fset, catalog)
 
     return bins, indexes()
 
@@ -352,6 +355,8 @@ def sweep(
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
+    if len(set(algos)) != len(algos):
+        raise ConfigError(f"sweep algorithms must not repeat, got {','.join(algos)}")
     config.validate()
     top = list(_top_indexes(config)[1])
     indexes = [index for _, _, index in top]

@@ -17,6 +17,10 @@ explanations, and an entry popped with the current stamp is exact and can be
 accepted without any recount. heapq's tuple order puts the largest coverage
 first and breaks ties by the lower predicate id, the tie-break the eager
 reference shares; predicate ids are unique, so the stamp never decides.
+
+`annotate` counts an explanation's actions and followers by testing its
+predicates' catalog ids against the ids the run's `PredicateCatalog`
+memoises for each entity.
 """
 from __future__ import annotations
 
@@ -266,19 +270,19 @@ def annotate(explanation: Explanation, index: PredicateIndex) -> Annotation:
 
     The two entity counts are independent of each other and of which cells
     the explanation actually covers. An entity satisfies the predicates when
-    their keys are a subset of the keys the index build memoised for it.
+    their catalog ids are a subset of the ids the catalog memoises for it.
     """
     fset = index.followup_set
-    preds = [index.predicates[pid] for pid in explanation.predicates]
-    action_need = frozenset(p[1:] for p in preds if p.dimension == ACTION)
-    user_need = frozenset(p[1:] for p in preds if p.dimension == USER)
-    action_keys = index.action_keys
-    action_count = sum(1 for a in fset.actions_performed if action_need <= action_keys[a])
-    if index.target == TARGET_FOLLOWER:
-        user_keys = index.user_keys
-        follower_count = sum(1 for v in fset.active_followers if user_need <= user_keys[v])
+    catalog = index.catalog
+    action_ids, user_ids = catalog.entity_ids[ACTION], catalog.entity_ids[USER]
+    gids = [index.key_ids[pid] for pid in explanation.predicates]
+    action_need = frozenset(g for g in gids if g < catalog.n_action_keys)
+    user_need = frozenset(g for g in gids if g >= catalog.n_action_keys)
+    action_count = sum(1 for a in fset.actions_performed if action_need <= action_ids[a])
+    if catalog.target == TARGET_FOLLOWER:
+        follower_count = sum(1 for v in fset.active_followers if user_need <= user_ids[v])
     else:
-        ok = user_need <= index.user_keys[fset.influencer]
+        ok = user_need <= user_ids[fset.influencer]
         follower_count = len(fset.active_followers) if ok else 0
     return Annotation(action_count, follower_count, explanation.raw_coverage)
 
@@ -290,14 +294,7 @@ def explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
         note = annotate(expl, index)
         rows.append(
             {
-                "predicates": [
-                    {
-                        "dimension": index.predicates[pid].dimension,
-                        "attribute": index.predicates[pid].attribute,
-                        "value": index.predicates[pid].value,
-                    }
-                    for pid in expl.predicates
-                ],
+                "predicates": [index.predicates[pid]._asdict() for pid in expl.predicates],
                 "actions": note.actions,
                 "followers": note.followers,
                 "followups": note.followups,

@@ -1,7 +1,8 @@
 """Shared helpers: hand-buildable indexes, seeded random instances, and the
 simple oracles the optimised layers are checked against: the per-line graph
-parser, the per-row action log parser, the per-cell propagation pass, the
-per-cell index build and `annotate`, and the per-value sweep."""
+parser, the per-row action log parser, the per-line attribute table loader,
+the per-cell propagation pass, the per-cell index build and `annotate`, and
+the per-value sweep."""
 from __future__ import annotations
 
 import random
@@ -98,6 +99,43 @@ def reference_parse_action_log(lines) -> ReferenceLog:
     return ReferenceLog(earliest)
 
 
+def reference_load_attribute_table(lines, dimension) -> AttributeTable:
+    """The per-line attribute table loader: each line checked field by field."""
+    table = AttributeTable(dimension)
+    numeric: set[str] = set()
+    saw_data = False
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            if body.startswith("numeric:"):
+                if saw_data:
+                    raise ParseError(f"line {lineno}: #numeric: header must precede data rows")
+                numeric.update(a.strip() for a in body[len("numeric:"):].split(",") if a.strip())
+                table.numeric = frozenset(numeric)
+            continue
+        parts = raw.rstrip("\r\n").split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 tab-separated columns, got {len(parts)}")
+        entity_raw, attribute, value = parts[0].strip(), parts[1].strip(), parts[2].strip()
+        if not entity_raw or not attribute:
+            raise ParseError(f"line {lineno}: empty entity or attribute")
+        entity = entity_raw
+        if dimension == USER:
+            try:
+                entity = int(entity_raw)
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer user id {entity_raw!r}") from None
+        saw_data = True
+        try:
+            table.add(entity, attribute, value)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return table
+
+
 def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
     """The per-cell propagation pass: per action, nodes in time order carry
     the bitset of the sources that reach them, and every set bit is decoded
@@ -187,17 +225,18 @@ def reference_predicate_index(fset, user_attrs, action_attrs, bins=(), target=TA
 def scan_annotation(expl, index) -> tuple[int, int, int]:
     """`annotate` by scanning the attribute tables entity by entity."""
     fset = index.followup_set
+    catalog = index.catalog
     preds = [index.predicates[p] for p in expl.predicates]
 
     def sat(table, entity, dimension):
-        keys = entity_keys(table, entity, index.bins)
+        keys = entity_keys(table, entity, catalog.bins)
         return all((p.dimension, p.attribute, p.value) in keys for p in preds if p.dimension == dimension)
 
-    actions = sum(1 for a in fset.actions_performed if sat(index.action_attrs, a, ACTION))
-    if index.target == TARGET_FOLLOWER:
-        followers = sum(1 for v in fset.active_followers if sat(index.user_attrs, v, USER))
+    actions = sum(1 for a in fset.actions_performed if sat(catalog.action_attrs, a, ACTION))
+    if catalog.target == TARGET_FOLLOWER:
+        followers = sum(1 for v in fset.active_followers if sat(catalog.user_attrs, v, USER))
     else:
-        followers = len(fset.active_followers) if sat(index.user_attrs, fset.influencer, USER) else 0
+        followers = len(fset.active_followers) if sat(catalog.user_attrs, fset.influencer, USER) else 0
     return actions, followers, expl.raw_coverage
 
 

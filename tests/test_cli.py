@@ -160,6 +160,31 @@ def test_bins_file_without_boundaries_names_the_file(tmp_path, capsys):
     assert str(bins) in err and "boundaries" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_numeric_attribute_is_parse_error(tmp_path, capsys, value):
+    """A NaN or infinite age would become a bin boundary or a `pre-nan` label."""
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text(f"#numeric: age\n2\tage\t30\n3\tage\t{value}\n")
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert f"{files['user_attrs']}: line 3: non-finite value {value!r}" in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("boundary", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_bin_boundary_is_parse_error(tmp_path, capsys, boundary):
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text("#numeric: age\n2\tage\t30\n3\tage\t40\n")
+    bins = tmp_path / "bins.json"
+    bins.write_text(f'[{{"attribute": "age", "boundaries": [{boundary}], "labels": ["lo", "hi"]}}]')
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--bins", str(bins), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert str(bins) in err and "boundaries must be finite" in err
+    assert not list(out.glob("*"))
+
+
 def test_nbins_zero_is_config_error(tmp_path, capsys):
     files = write_chain(tmp_path)
     code, err = run_error(["mine", *attr_args(files), "--nbins", "0", "--out", str(tmp_path / "out")], capsys)
@@ -189,6 +214,7 @@ def refuse_input_loading(monkeypatch, what: str) -> None:
     [
         (["--values", "1,2", "--algos", ","], "at least one algorithm"),
         (["--values", "1,1"], "strictly ascending"),
+        (["--values", "1,2", "--algos", "greedy,random,greedy"], "must not repeat"),
     ],
 )
 def test_sweep_without_algorithms_or_with_repeated_values_is_config_error(tmp_path, capsys, monkeypatch, flags, message):

@@ -54,6 +54,14 @@ def test_load_table_non_numeric_value_rejected():
         table_of("#numeric: year\nm1\tyear\told", ACTION)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-infinity", "1e999"])
+def test_load_table_non_finite_value_rejected(value):
+    with pytest.raises(ParseError, match=f"line 2: non-finite value '{value}'"):
+        table_of(f"#numeric: year\nm1\tyear\t{value}", ACTION)
+    with pytest.raises(ValueError, match="non-finite"):
+        AttributeTable(USER, numeric=("age",)).add(1, "age", value)
+
+
 def test_load_table_user_ids_are_integers():
     t = table_of("7\tgender\tmale", USER)
     assert t.values(7, "gender") == ("male",)
@@ -136,6 +144,11 @@ def test_bin_spec_json_roundtrip():
 def test_bin_spec_validation():
     with pytest.raises(ValueError):
         BinSpec("x", (2.0, 1.0), ("a", "b", "c"))
+    for cut in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            BinSpec("x", (cut,), ("a", "b"))
+    with pytest.raises(ParseError, match="finite"):
+        bins_from_json('[{"attribute": "x", "boundaries": [1.0, NaN], "labels": ["a", "b", "c"]}]')
     with pytest.raises(ValueError):
         BinSpec("x", (1.0,), ("a",))
 
@@ -212,8 +225,9 @@ def test_index_round_trip_and_scan_oracle(seed, rng):
 
     index = random_attribute_instance(random.Random(seed), max_cells=10 * (seed + 2))
     postings = postings_of(index)
+    catalog = index.catalog
     _, scanned = reference_predicate_index(
-        index.followup_set, index.user_attrs, index.action_attrs, index.bins.values(), index.target
+        index.followup_set, catalog.user_attrs, catalog.action_attrs, catalog.bins.values(), catalog.target
     )
     assert postings == scanned
     for pid, posting in enumerate(postings):

@@ -104,7 +104,7 @@ def test_factorised_index_and_annotate_match_per_cell_oracles():
         covered.update(features(fset, user_attrs, action_attrs, bins, target, postings, catalog))
 
         assert [(p.dimension, p.attribute, p.value) for p in index.predicates] == catalog, i
-        assert [p.pid for p in index.predicates] == list(range(len(catalog)))
+        assert [index.pid_of(*p) for p in index.predicates] == list(range(len(catalog)))
         assert index.n_cells == len(fset.cells)
         assert list(index.bits) == [sum(1 << c for c in posting) for posting in postings], i
 

@@ -1,10 +1,10 @@
-"""The action log and graph parsers against their per-line references on
-seeded random inputs, and seeded random line and byte mutations of all three
-input parsers.
+"""The action log, graph and attribute table parsers against their
+per-line references on seeded random inputs, and seeded random line and byte
+mutations of all three input parsers.
 
-A mutated input must parse (to the reference's result, for the action log
-and the graph) or raise a ParseError that names the line, the reference's
-exact error for those two; no other exception may escape.
+A mutated input must parse to the reference's result or raise a ParseError
+that names the line, the reference's exact error; no other exception may
+escape.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import random
 import re
 from collections import Counter
 
-from conftest import reference_parse_action_log, reference_parse_social_graph
+from conftest import reference_load_attribute_table, reference_parse_action_log, reference_parse_social_graph
 from followups.errors import ParseError
 from followups.featurization import ACTION, USER, AttributeTable, load_attribute_table
 from followups.ingestion import SocialGraph, parse_action_log, parse_social_graph
@@ -249,4 +249,91 @@ def test_mutated_graphs_match_reference_or_fail_on_a_line():
         rng = random.Random(84_000 + i)
         make = random_valid_graph_text if i % 2 else random_graph_text
         kinds[assert_same_graph(mutate(rng, make(rng)), i)] += 1
+    assert kinds["ok"] >= 50 and kinds["error"] >= 50, kinds
+
+
+def random_valid_table_text(rng: random.Random, dimension: str) -> str:
+    """A valid attribute table: an optional `#numeric:` header, then rows
+    with repeated and multi-valued attributes, empty values, comments
+    (also one whose entity starts with `#`), blank and all-tab lines,
+    padded or signed ids and mixed LF/CRLF endings."""
+    entities = [str(u) for u in range(1, 8)] if dimension == USER else [f"a{i}" for i in range(6)]
+    numeric = rng.random() < 0.7
+    lines = [rng.choice(("#numeric: n0", "  #numeric: n0, n1", "# numeric:n0"))] if numeric else []
+    numbers = {}
+    for _ in range(rng.randint(0, 30)):
+        roll = rng.random()
+        entity = rng.choice(entities)
+        if roll < 0.08:
+            lines.append(rng.choice(("# a comment", "#\t1\tg", f"#{entity}\tgenre\tg1", " # x\ty\tz")))
+        elif roll < 0.16:
+            lines.append(rng.choice(("", "  ", "\t\t", "\t \t")))
+        elif roll < 0.28 and lines:
+            # a numeric row or the header, repeated, would be an error
+            lines.append(rng.choice([line for line in lines if "n0" not in line] or [""]))
+        elif roll < 0.45 and numeric and entity not in numbers:
+            numbers[entity] = rng.choice((str(rng.randint(0, 50) / 2), str(rng.randint(-3, 9)), "1e2"))
+            lines.append(f"{entity}\tn0\t{numbers[entity]}")
+        else:
+            value = rng.choice(("g0", "g1", "g2", "", " g1 "))
+            if dimension == USER and rng.random() < 0.1:
+                entity = rng.choice((f" {entity} ", f"+{entity}", f"0{entity}"))
+            lines.append(f"{entity}\t{rng.choice(('genre', ' genre', 'tag'))}\t{value}")
+    if not numeric or rng.random() < 0.5:
+        lines = [line for line in lines if "\tn0\t" not in line]
+    endings = [rng.choice(("\n", "\n", "\r\n")) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def table_contents(table) -> tuple:
+    return (
+        table.dimension,
+        table.numeric,
+        table.entities(),
+        {e: tuple(table.items(e)) for e in table.entities()},
+    )
+
+
+def assert_same_table(text: str, dimension: str, seed) -> str:
+    """Load `text` with both attribute table loaders; they must agree,
+    down to the order in which entities and attributes were first seen."""
+    kind, got = outcome(lambda fh: load_attribute_table(fh, dimension), text)
+    ref_kind, ref = outcome(lambda fh: reference_load_attribute_table(fh, dimension), text)
+    assert kind == ref_kind, (seed, got, ref)
+    if kind == "error":
+        assert got == ref, seed
+    else:
+        assert table_contents(got) == table_contents(ref), seed
+    return kind
+
+
+def test_tables_match_per_line_reference():
+    covered = Counter()
+    for i in range(LOGS):
+        rng = random.Random(85_000 + i)
+        dimension = USER if i % 2 else ACTION
+        text = random_valid_table_text(rng, dimension)
+        assert assert_same_table(text, dimension, i) == "ok"
+        lines = text.splitlines()
+        covered["header"] += any(line.strip().startswith("#numeric:") for line in lines)
+        covered["hash-entity"] += any(line.startswith("#") and line.count("\t") == 2 for line in lines)
+        covered["all-tab"] += any(line and not line.strip() for line in lines)
+        covered["empty-value"] += any(line.endswith("\t") for line in lines)
+        covered["repeated-row"] += len(lines) > len(set(lines))
+        covered["crlf"] += "\r\n" in text
+        covered["padded"] += any(line.startswith((" ", "+")) or "\t " in line for line in lines)
+    for case in ("header", "hash-entity", "all-tab", "empty-value", "repeated-row", "crlf", "padded"):
+        assert covered[case] >= 20, (case, covered)
+
+
+def test_mutated_tables_match_reference_or_fail_on_a_line():
+    kinds = Counter()
+    for i in range(MUTANTS):
+        rng = random.Random(86_000 + i)
+        dimension = USER if i % 2 else ACTION
+        make = random_valid_table_text if i % 4 < 2 else random_table_text
+        kinds[assert_same_table(mutate(rng, make(rng, dimension)), dimension, i)] += 1
     assert kinds["ok"] >= 50 and kinds["error"] >= 50, kinds
