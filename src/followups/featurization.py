@@ -444,7 +444,7 @@ def build_predicate_index(
 
     key_ids = sorted(slices.keys() | singles.keys())
     zeros = b"0" * n
-    ones = memoryview(b"1" * n)
+    ones = bytearray(b"1") * n
     bits = []
     for gid in key_ids:
         buf = bytearray(zeros)
