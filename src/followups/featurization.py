@@ -424,6 +424,9 @@ def build_predicate_index(
     slices: dict[int, list[tuple[int, int]]] = {}
     singles: dict[int, list[int]] = {}
     action_ids = catalog.entity_ids[ACTION]
+    for action in fset.actions_performed:
+        # annotate reads these ids too: compute any missing ones here, in the index build
+        action_ids[action]
     stop = n
     for action, group in groupby(cells, itemgetter(0)):
         start = stop - len(list(group))
