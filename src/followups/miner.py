@@ -294,7 +294,14 @@ def explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
         note = annotate(expl, index)
         rows.append(
             {
-                "predicates": [index.predicates[pid]._asdict() for pid in expl.predicates],
+                "predicates": [
+                    {
+                        "dimension": index.predicates[pid].dimension,
+                        "attribute": index.predicates[pid].attribute,
+                        "value": index.predicates[pid].value,
+                    }
+                    for pid in expl.predicates
+                ],
                 "actions": note.actions,
                 "followers": note.followers,
                 "followups": note.followups,
