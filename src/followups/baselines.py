@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, islice
+from bisect import bisect_right
+from itertools import accumulate, combinations, islice
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, ResourceLimitError
@@ -30,20 +31,17 @@ def _make_explanation(index: PredicateIndex, pids: Iterable[int], unmarked: int)
 
 
 def _weighted_draws(rng: random.Random, pool: list[tuple[int, int]], count: int) -> list[int]:
-    """`count` weighted draws without replacement from (pid, weight) pairs."""
-    pool = list(pool)
+    """`count` weighted draws without replacement from (pid, weight) pairs,
+    with integer weights: each draw takes the first pair whose prefix sum of
+    weights exceeds `rng.random()` times their total, or the last pair."""
+    pids = [pid for pid, _ in pool]
+    weights = [w for _, w in pool]
     picked = []
     for _ in range(count):
-        total = sum(w for _, w in pool)
-        r = rng.random() * total
-        acc = 0.0
-        chosen = len(pool) - 1
-        for i, (_, w) in enumerate(pool):
-            acc += w
-            if r < acc:
-                chosen = i
-                break
-        picked.append(pool.pop(chosen)[0])
+        prefix = list(accumulate(weights))
+        chosen = min(bisect_right(prefix, rng.random() * prefix[-1]), len(prefix) - 1)
+        del weights[chosen]
+        picked.append(pids.pop(chosen))
     return picked
 
 

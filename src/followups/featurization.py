@@ -15,8 +15,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, ParseError
@@ -407,16 +405,15 @@ def build_predicate_index(
     builds a catalog of those tables for this one call.
 
     An entity's ids come from the catalog, computed once per run.
-    Each run of consecutive cells sharing an action sets its action
-    predicates' bits as one slice, and each predicate's bitset is packed
-    from a byte buffer in one conversion, in time linear in the cells.
+    Each of `fset.runs` sets its action predicates' bits as one slice, and
+    each predicate's bitset is packed from a byte buffer in one conversion,
+    in time linear in the cells.
     """
     if not isinstance(catalog, PredicateCatalog):
         catalog = PredicateCatalog(catalog, action_attrs, bins, target)
     elif action_attrs is not None or bins or target != TARGET_FOLLOWER:
         raise TypeError("tables, bins and target come from the catalog")
-    cells = fset.cells
-    n = len(cells)
+    n = len(fset)
     # Bit c of a bitset is character n-1-c of its base-2 numeral, so cell 0
     # is the numeral's last character. Per catalog id: the numeral slices
     # [start, stop) its action runs fill, and the numeral positions of its
@@ -427,17 +424,19 @@ def build_predicate_index(
     for action in fset.actions_performed:
         # annotate reads these ids too: compute any missing ones here, in the index build
         action_ids[action]
+    by_follower = catalog.target == TARGET_FOLLOWER
+    positions: dict[int, list[int]] = {}
     stop = n
-    for action, group in groupby(cells, itemgetter(0)):
-        start = stop - len(list(group))
+    for action, followers in fset.runs:
+        start = stop - len(followers)
         for gid in action_ids[action]:
             slices.setdefault(gid, []).append((start, stop))
+        if by_follower:
+            for pos, v in zip(range(stop - 1, start - 1, -1), followers):
+                positions.setdefault(v, []).append(pos)
         stop = start
     user_ids = catalog.entity_ids[USER]
-    if catalog.target == TARGET_FOLLOWER:
-        positions: dict[int, list[int]] = {}
-        for pos, (_, v) in zip(range(n - 1, -1, -1), cells):
-            positions.setdefault(v, []).append(pos)
+    if by_follower:
         for v, cell_positions in positions.items():
             for gid in user_ids[v]:
                 singles.setdefault(gid, []).extend(cell_positions)

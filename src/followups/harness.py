@@ -171,23 +171,25 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
     Returns the bins and a lazy generator of (influencer, followups, index)
     over the top `config.top_n` influencers, so that a consumer which drops
     each index before the next keeps one alive at a time. Their followup sets
-    come from one `followup_sets` pass, made when the first index is asked for.
+    come from one `followup_sets` pass over the arcs the propagation pass
+    kept, made when the first index is asked for.
     Every index shares one `PredicateCatalog`, built once the bins are known.
     """
     graph = load_graph(config.graph)
     log = load_log(config.actions)
     user_attrs = load_table(config.user_attrs, USER)
     action_attrs = load_table(config.action_attrs, ACTION)
-    stats = global_followup_stats(graph, log, config.max_delay)
+    stats = global_followup_stats(graph, log, config.max_delay, keep_arcs=True)
     if config.bins is None:
         bins = prepare_bins(user_attrs, action_attrs, stats, config.nbins)
     else:
         bins = _parse_file(config.bins, lambda fh: bins_from_json(fh.read()))
     catalog = PredicateCatalog(user_attrs, action_attrs, bins, config.target)
     ranked = rank_influencers(stats.influencer_counts, config.top_n)
+    arcs = stats.arcs  # the generator keeps these alive, not the rest of the stats
 
     def indexes():
-        fsets = followup_sets(graph, log, [user for user, _ in ranked], config.max_delay)
+        fsets = followup_sets(graph, log, [user for user, _ in ranked], config.max_delay, arcs)
         for (user, count), fset in zip(ranked, fsets):
             yield user, count, build_predicate_index(fset, catalog)
 

@@ -12,17 +12,22 @@ repeated (user, action) pair.
 Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
 every action's DAG once and counts every user's followups by popcount of
 per-node reach bitsets; the counts drive influencer ranking, binning and
-the followup-frequency histogram. `followup_sets` then builds the DAG of
-each action in the union of the ranked influencers' actions once, and emits
-all their followup sets from it. `compute_followup_set` derives one
-influencer's set on its own, by breadth-first search per action; it is the
-reference the batch is tested against.
+the followup-frequency histogram. On request it also keeps each DAG's arcs,
+and `followup_sets` emits all the ranked influencers' followup sets from
+those arcs, so a run builds each DAG once. Called without kept arcs, the
+batch builds the DAG of each action in the union of the influencers'
+actions itself. A followup set holds its cells as runs: one (action,
+ascending followers) pair per action, in ascending action order.
+`compute_followup_set` derives one influencer's set on its own, by
+breadth-first search per action; it is the reference the batch is tested
+against.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, NotFoundError, ParseError
@@ -130,22 +135,59 @@ class PropagationGraph:
 class FollowupSet:
     """The cells of one influencer's followup set, densely numbered.
 
-    Cell ids are contiguous 0..n-1 in (action, follower) order; the `cells`
-    tuple is the id -> cell side table. `actions_performed` keeps every action
-    the influencer performed (not just those with followups) so explanation
-    annotations can report action counts the way a marketer reads them.
+    `runs` holds the cells as (action, followers) pairs in cell order, each
+    pair the cells of one action; cell ids are contiguous 0..n-1 in that
+    order. `cells` derives the id -> cell side table from them.
+    `actions_performed` keeps every action the influencer performed (not
+    just those with followups) so explanation annotations can report action
+    counts the way a marketer reads them.
+
+    `FollowupSet(influencer, cells, actions_performed)` takes the cells in
+    any order without duplicates, and groups consecutive cells of one action
+    into a run. `from_runs` takes the runs themselves.
     """
 
     def __init__(self, influencer: int, cells: Iterable[Cell], actions_performed: Iterable[str]):
-        self.influencer = influencer
-        self.cells = tuple(cells)
-        self.actions_performed = tuple(actions_performed)
-        if len(set(self.cells)) != len(self.cells):
+        cells = tuple(cells)
+        if len(set(cells)) != len(cells):
             raise ValueError("duplicate cells in followup set")
-        self.active_followers = tuple(sorted({c.follower for c in self.cells}))
+        follower = itemgetter(1)
+        runs = tuple((action, tuple(map(follower, group))) for action, group in groupby(cells, itemgetter(0)))
+        self._fill(influencer, runs, actions_performed)
+
+    @classmethod
+    def from_runs(
+        cls, influencer: int, runs: Iterable[tuple[str, Sequence[int]]], actions_performed: Iterable[str]
+    ) -> "FollowupSet":
+        """The set whose cells are `runs`: (action, followers) pairs with the
+        actions strictly ascending, and each run's followers non-empty and
+        strictly ascending, so that no cell repeats."""
+        runs = tuple(runs)
+        actions = [action for action, _ in runs]
+        if not all(map(lt, actions, actions[1:])):
+            raise ValueError("followup set runs must have strictly ascending actions")
+        for action, followers in runs:
+            if not followers or not all(map(lt, followers, followers[1:])):
+                raise ValueError(f"followers of action {action!r} must be non-empty and strictly ascending")
+        fset = cls.__new__(cls)
+        fset._fill(influencer, runs, actions_performed)
+        return fset
+
+    def _fill(self, influencer: int, runs: tuple, actions_performed: Iterable[str]) -> None:
+        self.influencer = influencer
+        self.runs = runs
+        self.actions_performed = tuple(actions_performed)
+        follower_runs = [followers for _, followers in runs]
+        self._n_cells = sum(map(len, follower_runs))
+        self.active_followers = tuple(sorted(set(chain.from_iterable(follower_runs))))
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """Every cell, in id order."""
+        return tuple(Cell(action, v) for action, followers in self.runs for v in followers)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self._n_cells
 
 
 def _split_line(raw: str, lineno: int, n_cols: int) -> list[str]:
@@ -299,15 +341,21 @@ def compute_followup_set(
 
 
 class FollowupStats(NamedTuple):
-    """Aggregates of one pass over every action's propagation DAG."""
+    """Aggregates of one pass over every action's propagation DAG.
+
+    `arcs`, kept only on request, maps each action with an arc to its DAG's
+    out-arcs as one flat tuple `(u, successors of u, u, successors of u,
+    ...)` over its arc sources in `nodes` (time) order.
+    """
 
     influencer_counts: dict[int, int]
     action_cells: dict[str, int]
     follower_cells: dict[int, int]
+    arcs: dict[str, tuple] | None = None
 
 
 def global_followup_stats(
-    graph: SocialGraph, log: ActionLog, max_delay: int | None = None
+    graph: SocialGraph, log: ActionLog, max_delay: int | None = None, *, keep_arcs: bool = False
 ) -> FollowupStats:
     """Count followups for every user at once.
 
@@ -316,15 +364,22 @@ def global_followup_stats(
     walk in reverse gives each source the bitset of the nodes it reaches,
     and its popcount is that influencer's cells. Only nodes on an arc hold
     a bitset. Users and actions without cells are absent from the dicts.
+
+    With `keep_arcs`, the result's `arcs` holds every DAG's arcs, for
+    `followup_sets` to build the top influencers' sets from without
+    building any DAG again. Otherwise it is None.
     """
     influencer_counts: dict[int, int] = {}
     action_cells: dict[str, int] = {}
     follower_cells: dict[int, int] = {}
+    kept: dict[str, tuple] | None = {} if keep_arcs else None
     for action in log.actions:
         pg = build_propagation_graph(graph, log, action, max_delay)
         arcs = list(pg.out_arcs())
         if not arcs:
             continue
+        if kept is not None:
+            kept[action] = tuple(chain.from_iterable(arcs))
         up: dict[int, int] = {}  # node -> the sources that reach it
         for bit, (u, vs) in enumerate(arcs):
             push = up.get(u, 0) | 1 << bit
@@ -347,66 +402,73 @@ def global_followup_stats(
             influencer_counts[u] = influencer_counts.get(u, 0) + reached.bit_count()
             if u in down:
                 down[u] |= reached
-    return FollowupStats(influencer_counts, action_cells, follower_cells)
+    return FollowupStats(influencer_counts, action_cells, follower_cells, kept)
 
 
 def followup_sets(
-    graph: SocialGraph, log: ActionLog, influencers: Sequence[int], max_delay: int | None = None
+    graph: SocialGraph,
+    log: ActionLog,
+    influencers: Sequence[int],
+    max_delay: int | None = None,
+    arcs: dict[str, tuple] | None = None,
 ) -> Iterator[FollowupSet]:
     """The followup set of each of `influencers` (distinct user ids), in input
     order, equal to `compute_followup_set` on each of them.
 
-    One pass walks the sorted union of their actions and builds each
-    action's DAG once. As in `global_followup_stats`, nodes are processed in
-    time order carrying a bitset of the sources that reach them, but only
+    One pass walks the sorted union of their actions. Each action's arcs
+    come from `arcs`, the `arcs` of `global_followup_stats(graph, log,
+    max_delay, keep_arcs=True)`, which the pass consumes: it drops each
+    action's entry as it reads it, and empties the dict when done. Without
+    `arcs`, it builds each action's DAG once. Actions without arcs are
+    skipped. As in `global_followup_stats`, arc sources are processed in
+    time order, pushing a bitset of the sources that reach them, but only
     the listed influencers are sources. Each node's bits are decoded in
     ascending follower id. The pass runs at the first `next()` and keeps
-    only each influencer's followers per action; those are dropped as the
-    influencer's set is yielded.
+    only each influencer's (action, followers) runs; those are dropped as
+    the influencer's set is yielded.
     """
     order = list(influencers)
     listed = set(order)
     if len(listed) != len(order):
         raise ValueError("duplicate influencer")
-    # Per influencer, one flat list: each action with followups (a str),
-    # then its followers (ints). One slot per action and per cell.
-    runs: dict[int, list[str | int]] = {u: [] for u in order}
+    runs: dict[int, list[tuple[str, tuple[int, ...]]]] = {u: [] for u in order}
     for action in sorted({a for u in order for a in log.actions_of(u)}):
-        pg = build_propagation_graph(graph, log, action, max_delay)
-        for u, followers in _listed_reach(pg, listed):
-            runs[u].append(action)
-            runs[u] += followers
+        if arcs is None:
+            pg = build_propagation_graph(graph, log, action, max_delay)
+            action_arcs = tuple(chain.from_iterable(pg.out_arcs()))
+        else:
+            action_arcs = arcs.pop(action, ())
+        if action_arcs:
+            for u, followers in _listed_reach(action_arcs, listed):
+                runs[u].append((action, followers))
+    if arcs is not None:
+        arcs.clear()  # the rest are arcs of actions no listed influencer performed
     for u in order:
-        yield FollowupSet(u, _decode_runs(runs.pop(u)), log.actions_of(u))
+        yield FollowupSet.from_runs(u, runs.pop(u), log.actions_of(u))
 
 
-def _listed_reach(pg: PropagationGraph, listed: set[int]) -> list[tuple[int, list[int]]]:
-    """(source, its followers ascending) for each performer of `pg` that is
-    in `listed` and reaches anyone."""
-    sources = [u for u in pg.nodes if u in listed]
-    bit = {u: 1 << j for j, u in enumerate(sources)}
-    index = {u: i for i, u in enumerate(pg.nodes)}
-    reach = [0] * len(pg.nodes)
-    for i, u in enumerate(pg.nodes):
-        push = reach[i] | bit.get(u, 0)
+def _listed_reach(arcs: tuple, listed: set[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(source, its followers ascending) for each arc source in `arcs` (one
+    action's flat out-arcs, in time order) that is in `listed`."""
+    sources: list[int] = []
+    up: dict[int, int] = {}  # node -> the listed sources that reach it
+    pairs = iter(arcs)
+    for u, vs in zip(pairs, pairs):
+        push = up.get(u, 0)
+        if u in listed:
+            push |= 1 << len(sources)
+            sources.append(u)
         if push:
-            for v in pg.successors(u):
-                reach[index[v]] |= push
+            for v in vs:
+                up[v] = up.get(v, 0) | push
     followers: list[list[int]] = [[] for _ in sources]
-    for v, bits in sorted((v, bits) for v, bits in zip(pg.nodes, reach) if bits):
+    for v in sorted(up):
+        bits = up[v]
         while bits:
             low = bits & -bits
             followers[low.bit_length() - 1].append(v)
             bits ^= low
-    return [(u, vs) for u, vs in zip(sources, followers) if vs]
-
-
-def _decode_runs(run: list[str | int]) -> Iterator[Cell]:
-    for item in run:
-        if isinstance(item, str):
-            action = item
-        else:
-            yield Cell(action, item)
+    return [(u, tuple(vs)) for u, vs in zip(sources, followers)]
 
 
 def require_top_n(top_n: int) -> None:

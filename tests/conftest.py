@@ -1,10 +1,12 @@
 """Shared helpers: hand-buildable indexes, seeded random instances, and the
 simple oracles the optimised layers are checked against: the per-line graph
 parser, the per-row action log parser, the per-line attribute table loader,
-the per-cell propagation pass, the per-cell index build and `annotate`, and
-the per-value sweep."""
+the per-cell propagation pass, the per-cell index build and `annotate`, the
+per-draw weighted sampling scan, the per-value sweep, and the pipeline
+composed of those oracles alone."""
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -17,10 +19,19 @@ from followups.featurization import (
     TARGET_FOLLOWER,
     USER,
     AttributeTable,
+    PredicateCatalog,
     PredicateIndex,
     build_predicate_index,
 )
-from followups.ingestion import Cell, FollowupSet, FollowupStats, SocialGraph, build_propagation_graph
+from followups.ingestion import (
+    Cell,
+    FollowupSet,
+    FollowupStats,
+    SocialGraph,
+    build_propagation_graph,
+    compute_followup_set,
+)
+from followups.miner import eager_greedy
 
 
 class ReferenceLog:
@@ -186,6 +197,25 @@ def reference_sweep(config, axis, values, algos) -> harness.SweepResult:
     return result
 
 
+def reference_weighted_draws(rng: random.Random, pool, count: int) -> list[int]:
+    """Weighted draws without replacement by re-summing and scanning the
+    pool for each draw."""
+    pool = list(pool)
+    picked = []
+    for _ in range(count):
+        total = sum(w for _, w in pool)
+        r = rng.random() * total
+        acc = 0.0
+        chosen = len(pool) - 1
+        for i, (_, w) in enumerate(pool):
+            acc += w
+            if r < acc:
+                chosen = i
+                break
+        picked.append(pool.pop(chosen)[0])
+    return picked
+
+
 def postings_of(index: PredicateIndex) -> tuple[tuple[int, ...], ...]:
     """Ascending cell ids of every predicate, decoded from `index.bits`."""
     return tuple(
@@ -238,6 +268,61 @@ def scan_annotation(expl, index) -> tuple[int, int, int]:
     else:
         followers = len(fset.active_followers) if sat(catalog.user_attrs, fset.influencer, USER) else 0
     return actions, followers, expl.raw_coverage
+
+
+def reference_pipeline(config: harness.RunConfig) -> dict[str, bytes]:
+    """The explanation JSON files and `summary.csv` that `run_pipeline`
+    writes for a greedy or eager `config`, by file name, composed from the
+    oracles: the reference parsers and attribute loader,
+    `reference_followup_stats`, `compute_followup_set`,
+    `reference_predicate_index`, `eager_greedy` (equal to the lazy greedy by
+    acceptance criterion 1) and `scan_annotation`. Binning is the library's
+    `prepare_bins`, and the catalog only maps the reference's keys to ids."""
+
+    def read(path, parse, *args):
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh, *args)
+
+    graph = read(config.graph, reference_parse_social_graph)
+    log = read(config.actions, reference_parse_action_log)
+    user_attrs = read(config.user_attrs, reference_load_attribute_table, USER)
+    action_attrs = read(config.action_attrs, reference_load_attribute_table, ACTION)
+    stats = reference_followup_stats(graph, log, config.max_delay)
+    bins = harness.prepare_bins(user_attrs, action_attrs, stats, config.nbins)
+    catalog = PredicateCatalog(user_attrs, action_attrs, bins, config.target)
+    ranked = sorted(stats.influencer_counts.items(), key=lambda it: (-it[1], it[0]))[: config.top_n]
+    files = {}
+    summary = "rank,influencer,followups,explanations,total_coverage,relative_coverage\n"
+    for rank, (user, count) in enumerate(ranked, start=1):
+        fset = compute_followup_set(graph, log, user, config.max_delay)
+        keys, postings = reference_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
+        key_ids = tuple(catalog.key_ids[key] for key in keys)
+        index = PredicateIndex(fset, catalog, key_ids, tuple(sum(1 << c for c in p) for p in postings))
+        eset = eager_greedy(index, config.k, config.l)
+        rows = []
+        for expl in eset.explanations:
+            actions, followers, followups = scan_annotation(expl, index)
+            predicates = [
+                {"dimension": dimension, "attribute": attribute, "value": value}
+                for dimension, attribute, value in (keys[pid] for pid in expl.predicates)
+            ]
+            rows.append(
+                {"predicates": predicates, "actions": actions, "followers": followers, "followups": followups}
+            )
+        doc = {
+            "influencer": user,
+            "total_followups": len(fset),
+            "explanations": rows,
+            "total_coverage": eset.total_coverage,
+            "relative_coverage": eset.relative_coverage,
+        }
+        files[f"explanations_{rank:03d}_user{user}.json"] = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        summary += (
+            f"{rank},{user},{count},{len(eset.explanations)},"
+            f"{eset.total_coverage},{eset.relative_coverage!r}\n"
+        )
+    files["summary.csv"] = summary.encode("utf-8")
+    return files
 
 
 def index_from_postings(postings: list[list[int]], n_cells: int | None = None) -> PredicateIndex:

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import index_from_postings, random_attribute_instance
+from conftest import index_from_postings, random_attribute_instance, reference_weighted_draws
 
 from followups.baselines import (
     _weighted_draws,
@@ -61,6 +62,42 @@ def test_weighted_first_pick_frequency():
     rng = random.Random(42)
     hits = sum(1 for _ in range(100_000) if _weighted_draws(rng, [(0, 3), (1, 1)], 1)[0] == 0)
     assert abs(hits / 100_000 - 0.75) < 0.01
+
+
+def test_weighted_draws_match_per_draw_scan():
+    """Prefix sums and bisection pick the index the per-draw scan picks for
+    every `rng.random()` value, and consume the rng alike."""
+    sizes = Counter()
+    for seed in range(240):
+        rng = random.Random(3_000 + seed)
+        size = rng.choice((1, 1, 2, 3, rng.randint(4, 40)))
+        high = rng.choice((1, 3, 1000))  # 1: all weights tie
+        pool = [(pid, rng.randint(1, high)) for pid in rng.sample(range(100), size)]
+        sizes["single" if size == 1 else "tied" if len({w for _, w in pool}) < size else "distinct"] += 1
+        got, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            count = rng.randint(1, size)
+            assert _weighted_draws(got, pool, count) == reference_weighted_draws(ref, pool, count), seed
+    assert min(sizes.values()) >= 20, sizes
+
+
+class FixedRandom:
+    """An rng whose `random()` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.25, 0.5, 0.75, 1 - 2**-53])
+def test_weighted_draws_on_prefix_boundaries(value):
+    """A value times the total of 4 that lands exactly on a prefix sum (1 or
+    3) picks the next pair."""
+    pool = [(7, 1), (8, 2), (9, 1)]
+    expected = reference_weighted_draws(FixedRandom([value]), pool, 1)
+    assert _weighted_draws(FixedRandom([value]), pool, 1) == expected
 
 
 def test_random_coverage_bookkeeping():

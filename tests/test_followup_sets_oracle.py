@@ -1,4 +1,5 @@
-"""Differential test: the batched `followup_sets` against the single-influencer
+"""Differential test: the batched `followup_sets`, on the propagation pass's
+kept arcs and on DAGs it builds itself, against the single-influencer
 reference `compute_followup_set`, and against the propagation pass's counts."""
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ from collections import Counter
 
 import pytest
 
+from followups.featurization import (
+    ACTION,
+    TARGET_FOLLOWER,
+    TARGET_INFLUENCER,
+    USER,
+    AttributeTable,
+    PredicateCatalog,
+    build_predicate_index,
+)
 from followups.ingestion import (
     ActionLog,
     SocialGraph,
@@ -41,6 +51,17 @@ def random_instance(rng: random.Random):
     return graph, log, max_delay, influencers
 
 
+def random_catalog(rng: random.Random, graph, log) -> PredicateCatalog:
+    """A catalog over one user and one action attribute of a few values,
+    which the tables give most users and actions."""
+    user_attrs, action_attrs = AttributeTable(USER), AttributeTable(ACTION)
+    for table, entities in ((user_attrs, sorted(graph.users)), (action_attrs, log.actions)):
+        for entity in entities:
+            if rng.random() < 0.8:
+                table.add(entity, "x", f"v{rng.randint(0, 2)}")
+    return PredicateCatalog(user_attrs, action_attrs, target=rng.choice((TARGET_FOLLOWER, TARGET_INFLUENCER)))
+
+
 def features(graph, log, max_delay, influencers, expected) -> set[str]:
     """Which of the cases the differential test must cover this instance hits."""
     seen = set()
@@ -68,16 +89,24 @@ def test_followup_sets_match_single_influencer_oracle():
         rng = random.Random(57_000 + i)
         graph, log, max_delay, influencers = random_instance(rng)
         expected = [compute_followup_set(graph, log, u, max_delay) for u in influencers]
-        counts = global_followup_stats(graph, log, max_delay).influencer_counts
+        stats = global_followup_stats(graph, log, max_delay, keep_arcs=True)
         covered.update(features(graph, log, max_delay, influencers, expected))
+        # its own rng, so that the instances stay those the thresholds were set on
+        catalog = random_catalog(random.Random(58_000 + i), graph, log)
 
-        got = list(followup_sets(graph, log, influencers, max_delay))
-        assert [f.influencer for f in got] == influencers, i
-        for fset, ref in zip(got, expected):
-            assert fset.cells == ref.cells, (i, fset.influencer)
-            assert fset.actions_performed == ref.actions_performed, (i, fset.influencer)
-            assert fset.active_followers == ref.active_followers, (i, fset.influencer)
-            assert len(fset) == counts.get(fset.influencer, 0), (i, fset.influencer)
+        for arcs in (stats.arcs, None):
+            got = list(followup_sets(graph, log, influencers, max_delay, arcs))
+            assert [f.influencer for f in got] == influencers, i
+            for fset, ref in zip(got, expected):
+                assert fset.runs == ref.runs, (i, fset.influencer)
+                assert fset.cells == ref.cells, (i, fset.influencer)
+                assert fset.actions_performed == ref.actions_performed, (i, fset.influencer)
+                assert fset.active_followers == ref.active_followers, (i, fset.influencer)
+                count = stats.influencer_counts.get(fset.influencer, 0)
+                assert len(fset) == len(ref) == count, (i, fset.influencer)
+                bits = build_predicate_index(ref, catalog).bits
+                assert build_predicate_index(fset, catalog).bits == bits, (i, fset.influencer)
+        assert stats.arcs == {}, i  # the batch consumed every kept arc
 
     for case in ("max-delay", "actions-but-no-followups", "influencers-reach-each-other",
                  "tie-on-an-arc", "unlisted-source"):

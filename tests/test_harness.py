@@ -344,6 +344,38 @@ def test_pipeline_builds_each_dag_at_most_twice(tmp_path, monkeypatch):
     assert max(Counter(builds).values()) <= 2
 
 
+def test_drivers_build_each_dag_once(tmp_path, monkeypatch):
+    """The batch reads the arcs the propagation pass kept, so `run_pipeline`,
+    `sweep` and `timing_report` each build every action's DAG exactly once."""
+    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
+    config = RunConfig(
+        graph=paths["graph"],
+        actions=paths["actions"],
+        user_attrs=paths["user_attrs"],
+        action_attrs=paths["action_attrs"],
+        top_n=20,
+        out_dir=tmp_path / "out",
+    )
+    actions = list(harness.load_log(config.actions).actions)
+    builds = []
+    build = ingestion.build_propagation_graph
+
+    def counted(graph, log, action, max_delay=None):
+        builds.append(action)
+        return build(graph, log, action, max_delay)
+
+    monkeypatch.setattr(ingestion, "build_propagation_graph", counted)
+    runs = {
+        "run_pipeline": lambda: run_pipeline(config),
+        "sweep": lambda: sweep(config, "k", [1, 2], ["greedy", "random"]),
+        "timing_report": lambda: timing_report(config, ["greedy"]),
+    }
+    for name, run in runs.items():
+        builds.clear()
+        run()
+        assert sorted(builds) == actions, name
+
+
 def test_rank_builds_each_dag_once(tmp_path, monkeypatch):
     """`rank` makes one propagation pass: exactly one DAG build per action."""
     paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")

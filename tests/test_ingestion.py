@@ -10,6 +10,7 @@ from followups.errors import ConfigError, NotFoundError, ParseError
 from followups.ingestion import (
     ActionLog,
     Cell,
+    FollowupSet,
     SocialGraph,
     build_propagation_graph,
     compute_followup_set,
@@ -234,6 +235,60 @@ def test_global_stats_consistent_with_per_user():
     # conservation: every cell counted once per influencer, action and follower
     total = sum(stats.influencer_counts.values())
     assert total == sum(stats.action_cells.values()) == sum(stats.follower_cells.values())
+
+
+def test_global_stats_keeps_arcs_only_on_request():
+    g = graph_of(CHAIN_GRAPH + "3\t1\n")
+    log = log_of(CHAIN_LOG + "1\tb\t1\n")
+    assert global_followup_stats(g, log).arcs is None
+    kept = global_followup_stats(g, log, keep_arcs=True)
+    assert kept.arcs == {"a": (1, (2,), 2, (3,))}  # b has no arc
+    assert kept[:3] == global_followup_stats(g, log)[:3]
+
+
+# --- followup sets as runs ------------------------------------------------
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [("b", (2,)), ("a", (3,))],  # descending action
+        [("a", (2,)), ("a", (3,))],  # repeated action
+        [("a", (3, 2))],  # unsorted followers
+        [("a", (2, 2))],  # duplicate followers
+        [("a", (2,)), ("b", ())],  # empty follower run
+    ],
+)
+def test_from_runs_rejects_unordered_or_repeated_cells(runs):
+    with pytest.raises(ValueError):
+        FollowupSet.from_runs(1, runs, ["a", "b"])
+
+
+def test_cells_constructor_rejects_duplicates():
+    with pytest.raises(ValueError, match="duplicate"):
+        FollowupSet(1, [Cell("a", 2), Cell("b", 3), Cell("a", 2)], ["a", "b"])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_runs_equals_cells_constructor(seed):
+    rng = random.Random(seed)
+    actions = [f"a{i:02d}" for i in range(rng.randint(0, 8))]
+    followers = range(2, rng.randint(3, 12))
+    cells = [Cell(a, v) for a in actions for v in followers if rng.random() < 0.4]
+    runs = []
+    for cell in cells:
+        if runs and runs[-1][0] == cell.action:
+            runs[-1][1].append(cell.follower)
+        else:
+            runs.append((cell.action, [cell.follower]))
+    runs = tuple((a, tuple(vs)) for a, vs in runs)
+    by_runs = FollowupSet.from_runs(1, runs, actions)
+    by_cells = FollowupSet(1, cells, actions)
+    for fset in (by_runs, by_cells):
+        assert fset.runs == runs
+        assert fset.cells == tuple(cells)
+        assert len(fset) == len(cells)
+        assert fset.active_followers == tuple(sorted({c.follower for c in cells}))
+        assert fset.actions_performed == tuple(actions)
 
 
 # --- ranking and histogram ------------------------------------------------
