@@ -28,7 +28,6 @@ from .ingestion import (
     ActionLog,
     Cell,
     FollowupSet,
-    PropagationGraph,
     SocialGraph,
     build_propagation_graph,
     compute_followup_set,
@@ -74,7 +73,6 @@ __all__ = [
     "Predicate",
     "PredicateCatalog",
     "PredicateIndex",
-    "PropagationGraph",
     "ResourceLimitError",
     "SocialGraph",
     "annotate",

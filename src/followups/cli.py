@@ -189,6 +189,14 @@ def _require_keys(obj, keys: tuple[str, ...], what: str, path: Path) -> None:
             raise ParseError(f"{path}: {what} has no {key!r} key")
 
 
+def _require_types(
+    obj: dict, keys: tuple[str, ...], types: tuple[type, ...], noun: str, what: str, path: Path
+) -> None:
+    for key in keys:
+        if isinstance(obj[key], bool) or not isinstance(obj[key], types):
+            raise ParseError(f"{path}: {what}: {key!r} is not {noun}")
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
@@ -197,14 +205,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict) or not doc.get("explanations"):
         raise ParseError(f"{args.input}: no explanations to render")
     _require_keys(doc, ("influencer", "total_followups", "total_coverage"), "the document", args.input)
+    _require_types(doc, ("total_followups", "total_coverage"), (int, float), "a number", "the document", args.input)
     if not isinstance(doc["explanations"], list):
         raise ParseError(f"{args.input}: 'explanations' is not a list")
     for i, row in enumerate(doc["explanations"]):
-        _require_keys(row, ("predicates", "actions", "followers", "followups"), f"explanation {i}", args.input)
+        counts = ("actions", "followers", "followups")
+        _require_keys(row, ("predicates", *counts), f"explanation {i}", args.input)
+        _require_types(row, counts, (int,), "an integer", f"explanation {i}", args.input)
         if not isinstance(row["predicates"], list):
             raise ParseError(f"{args.input}: explanation {i}: 'predicates' is not a list")
         for pred in row["predicates"]:
-            _require_keys(pred, ("dimension", "attribute", "value"), f"a predicate of explanation {i}", args.input)
+            fields = ("dimension", "attribute", "value")
+            _require_keys(pred, fields, f"a predicate of explanation {i}", args.input)
+            _require_types(pred, fields, (str,), "a string", f"a predicate of explanation {i}", args.input)
     display = None
     if args.display:
         display = {}

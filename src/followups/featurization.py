@@ -293,6 +293,8 @@ class PredicateCatalog:
     `entity_ids[dimension][entity]` is the frozenset of ids the entity
     satisfies (empty for one the table does not hold): computed on the
     first lookup and kept for the run, with equal sets stored once.
+    Bins are keyed by attribute name alone, so two bin specs for one
+    attribute are a ConfigError.
     """
 
     def __init__(
@@ -306,7 +308,14 @@ class PredicateCatalog:
             raise ConfigError("attribute tables passed with mismatched dimensions")
         if target not in (TARGET_FOLLOWER, TARGET_INFLUENCER):
             raise ConfigError(f"unknown user-predicate target {target!r}")
-        binmap = {spec.attribute: spec for spec in bins}
+        binmap: dict[str, BinSpec] = {}
+        for spec in bins:
+            if spec.attribute in binmap:
+                raise ConfigError(
+                    f"two bin specs for attribute {spec.attribute!r}: bins are keyed by attribute name, "
+                    "so a numeric attribute cannot be declared in both the user and the action table"
+                )
+            binmap[spec.attribute] = spec
         keys = set()
         for table in (user_attrs, action_attrs):
             missing = sorted(a for a in table.numeric if a not in binmap)

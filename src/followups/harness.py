@@ -189,7 +189,7 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
     arcs = stats.arcs  # the generator keeps these alive, not the rest of the stats
 
     def indexes():
-        fsets = followup_sets(graph, log, [user for user, _ in ranked], config.max_delay, arcs)
+        fsets = followup_sets(log, [user for user, _ in ranked], arcs)
         for (user, count), fset in zip(ranked, fsets):
             yield user, count, build_predicate_index(fset, catalog)
 

@@ -9,23 +9,24 @@ arcs.
 tuples to `ActionLog`, the one place that keeps the earliest time of a
 repeated (user, action) pair.
 
+An action's propagation DAG has one form: the flat tuple of its out-arcs,
+`(u, successors of u, u, successors of u, ...)` over its arc sources in
+time order, as `build_propagation_graph` returns it.
+
 Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
 every action's DAG once and counts every user's followups by popcount of
 per-node reach bitsets; the counts drive influencer ranking, binning and
-the followup-frequency histogram. On request it also keeps each DAG's arcs,
-and `followup_sets` emits all the ranked influencers' followup sets from
-those arcs, so a run builds each DAG once. Called without kept arcs, the
-batch builds the DAG of each action in the union of the influencers'
-actions itself. A followup set holds its cells as runs: one (action,
-ascending followers) pair per action, in ascending action order.
-`compute_followup_set` derives one influencer's set on its own, by
-breadth-first search per action; it is the reference the batch is tested
-against.
+the followup-frequency histogram. On request it also keeps each DAG, and
+`followup_sets` emits all the ranked influencers' followup sets from those
+kept arcs, so a run builds each DAG once. A followup set holds its cells as
+runs: one (action, ascending followers) pair per action, in ascending
+action order. `compute_followup_set` derives one influencer's set on its
+own, by breadth-first search per action; it is the reference the batch is
+tested against.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -108,28 +109,6 @@ class ActionLog:
     def actions_of(self, user: int) -> tuple[str, ...]:
         """Action ids performed by `user`, ascending."""
         return self._by_user.get(user, ())
-
-
-@dataclass(frozen=True)
-class PropagationGraph:
-    """Time-respecting subgraph of the social graph restricted to one action's
-    performers. Arcs only go strictly forward in time, so the graph is a DAG
-    and `nodes` (sorted by performance time) is a topological order."""
-
-    action: str
-    nodes: tuple[int, ...]
-    _successors: dict[int, tuple[int, ...]]
-
-    def successors(self, user: int) -> tuple[int, ...]:
-        return self._successors.get(user, ())
-
-    def out_arcs(self) -> Iterable[tuple[int, tuple[int, ...]]]:
-        """(u, successors of u) for each node with an out-arc, in `nodes` order."""
-        return self._successors.items()
-
-    @property
-    def n_arcs(self) -> int:
-        return sum(len(vs) for vs in self._successors.values())
 
 
 class FollowupSet:
@@ -293,16 +272,20 @@ def _checked_log_row(raw: str, lineno: int) -> tuple[int, str, int] | None:
 
 def build_propagation_graph(
     graph: SocialGraph, log: ActionLog, action: str, max_delay: int | None = None
-) -> PropagationGraph:
-    """Restrict the social graph to `action`'s performers, keeping an arc
-    u -> v only when u performed strictly before v (and within `max_delay`
-    time units when given)."""
+) -> tuple:
+    """The DAG of `action`: the social graph restricted to its performers,
+    keeping an arc u -> v only when u performed strictly before v (and
+    within `max_delay` time units when given).
+
+    Returned as its flat out-arcs `(u, successors of u, ...)`: each source
+    with an arc once, in the performers' (time, user) order, which is a
+    topological order, and its successors in ascending id. Empty when the
+    action has no arc."""
     performers = log.performers(action)
     if not performers:
         raise NotFoundError(f"action {action!r} does not appear in the log")
-    time_of = {u: t for u, t in performers}
-    nodes = tuple(u for u, _ in performers)
-    successors: dict[int, tuple[int, ...]] = {}
+    time_of = dict(performers)
+    arcs = []
     for u, tu in performers:
         out = []
         for v in graph.followers(u):
@@ -313,8 +296,8 @@ def build_propagation_graph(
                 continue
             out.append(v)
         if out:
-            successors[u] = tuple(out)
-    return PropagationGraph(action, nodes, successors)
+            arcs += (u, tuple(out))
+    return tuple(arcs)
 
 
 def compute_followup_set(
@@ -326,12 +309,13 @@ def compute_followup_set(
     performed = log.actions_of(influencer)
     cells: list[Cell] = []
     for action in performed:
-        pg = build_propagation_graph(graph, log, action, max_delay)
+        it = iter(build_propagation_graph(graph, log, action, max_delay))
+        successors = dict(zip(it, it))
         seen = {influencer}
         queue = deque([influencer])
         while queue:
             u = queue.popleft()
-            for v in pg.successors(u):
+            for v in successors.get(u, ()):
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -343,9 +327,8 @@ def compute_followup_set(
 class FollowupStats(NamedTuple):
     """Aggregates of one pass over every action's propagation DAG.
 
-    `arcs`, kept only on request, maps each action with an arc to its DAG's
-    out-arcs as one flat tuple `(u, successors of u, u, successors of u,
-    ...)` over its arc sources in `nodes` (time) order.
+    `arcs`, kept only on request, maps each action with an arc to its DAG,
+    the tuple `build_propagation_graph` returned for it.
     """
 
     influencer_counts: dict[int, int]
@@ -365,7 +348,7 @@ def global_followup_stats(
     and its popcount is that influencer's cells. Only nodes on an arc hold
     a bitset. Users and actions without cells are absent from the dicts.
 
-    With `keep_arcs`, the result's `arcs` holds every DAG's arcs, for
+    With `keep_arcs`, the result's `arcs` holds every DAG with an arc, for
     `followup_sets` to build the top influencers' sets from without
     building any DAG again. Otherwise it is None.
     """
@@ -374,14 +357,13 @@ def global_followup_stats(
     follower_cells: dict[int, int] = {}
     kept: dict[str, tuple] | None = {} if keep_arcs else None
     for action in log.actions:
-        pg = build_propagation_graph(graph, log, action, max_delay)
-        arcs = list(pg.out_arcs())
+        arcs = build_propagation_graph(graph, log, action, max_delay)
         if not arcs:
             continue
         if kept is not None:
-            kept[action] = tuple(chain.from_iterable(arcs))
+            kept[action] = arcs
         up: dict[int, int] = {}  # node -> the sources that reach it
-        for bit, (u, vs) in enumerate(arcs):
+        for bit, (u, vs) in enumerate(zip(arcs[::2], arcs[1::2])):
             push = up.get(u, 0) | 1 << bit
             for v in vs:
                 up[v] = up.get(v, 0) | push
@@ -395,7 +377,7 @@ def global_followup_stats(
         # own bit first; a later source adds what it reaches before any
         # earlier node reads it.
         down = {v: 1 << i for i, v in enumerate(up)}
-        for u, vs in reversed(arcs):
+        for u, vs in zip(arcs[-2::-2], arcs[::-2]):
             reached = 0
             for v in vs:
                 reached |= down[v]
@@ -405,27 +387,20 @@ def global_followup_stats(
     return FollowupStats(influencer_counts, action_cells, follower_cells, kept)
 
 
-def followup_sets(
-    graph: SocialGraph,
-    log: ActionLog,
-    influencers: Sequence[int],
-    max_delay: int | None = None,
-    arcs: dict[str, tuple] | None = None,
-) -> Iterator[FollowupSet]:
+def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tuple]) -> Iterator[FollowupSet]:
     """The followup set of each of `influencers` (distinct user ids), in input
     order, equal to `compute_followup_set` on each of them.
 
-    One pass walks the sorted union of their actions. Each action's arcs
-    come from `arcs`, the `arcs` of `global_followup_stats(graph, log,
-    max_delay, keep_arcs=True)`, which the pass consumes: it drops each
-    action's entry as it reads it, and empties the dict when done. Without
-    `arcs`, it builds each action's DAG once. Actions without arcs are
-    skipped. As in `global_followup_stats`, arc sources are processed in
-    time order, pushing a bitset of the sources that reach them, but only
-    the listed influencers are sources. Each node's bits are decoded in
-    ascending follower id. The pass runs at the first `next()` and keeps
-    only each influencer's (action, followers) runs; those are dropped as
-    the influencer's set is yielded.
+    `arcs` is the `arcs` of `global_followup_stats(graph, log, max_delay,
+    keep_arcs=True)`, and the pass consumes it: it drops each action's
+    entry as it reads it, and empties the dict when done. One pass walks the
+    sorted union of the influencers' actions, skipping those without arcs.
+    As in `global_followup_stats`, arc sources are processed in time order,
+    pushing a bitset of the sources that reach them, but only the listed
+    influencers are sources. Each node's bits are decoded in ascending
+    follower id. The pass runs at the first `next()` and keeps only each
+    influencer's (action, followers) runs; those are dropped as the
+    influencer's set is yielded.
     """
     order = list(influencers)
     listed = set(order)
@@ -433,16 +408,11 @@ def followup_sets(
         raise ValueError("duplicate influencer")
     runs: dict[int, list[tuple[str, tuple[int, ...]]]] = {u: [] for u in order}
     for action in sorted({a for u in order for a in log.actions_of(u)}):
-        if arcs is None:
-            pg = build_propagation_graph(graph, log, action, max_delay)
-            action_arcs = tuple(chain.from_iterable(pg.out_arcs()))
-        else:
-            action_arcs = arcs.pop(action, ())
+        action_arcs = arcs.pop(action, ())
         if action_arcs:
             for u, followers in _listed_reach(action_arcs, listed):
                 runs[u].append((action, followers))
-    if arcs is not None:
-        arcs.clear()  # the rest are arcs of actions no listed influencer performed
+    arcs.clear()  # the rest are arcs of actions no listed influencer performed
     for u in order:
         yield FollowupSet.from_runs(u, runs.pop(u), log.actions_of(u))
 

@@ -155,15 +155,17 @@ def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
     action_cells: dict[str, int] = Counter()
     follower_cells: dict[int, int] = Counter()
     for action in log.actions:
-        pg = build_propagation_graph(graph, log, action, max_delay)
-        index = {u: i for i, u in enumerate(pg.nodes)}
-        reach = [0] * len(pg.nodes)
-        for u in pg.nodes:
+        nodes = [u for u, _ in log.performers(action)]
+        it = iter(build_propagation_graph(graph, log, action, max_delay))
+        successors = dict(zip(it, it))
+        index = {u: i for i, u in enumerate(nodes)}
+        reach = [0] * len(nodes)
+        for u in nodes:
             i = index[u]
             push = reach[i] | (1 << i)
-            for v in pg.successors(u):
+            for v in successors.get(u, ()):
                 reach[index[v]] |= push
-        for v in pg.nodes:
+        for v in nodes:
             sources = reach[index[v]]
             if not sources:
                 continue
@@ -172,7 +174,7 @@ def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
             action_cells[action] += n
             while sources:
                 low = sources & -sources
-                influencer_counts[pg.nodes[low.bit_length() - 1]] += 1
+                influencer_counts[nodes[low.bit_length() - 1]] += 1
                 sources ^= low
     return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
 

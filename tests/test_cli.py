@@ -160,6 +160,31 @@ def test_bins_file_without_boundaries_names_the_file(tmp_path, capsys):
     assert str(bins) in err and "boundaries" in err
 
 
+def test_numeric_attribute_of_both_tables_is_config_error(tmp_path, capsys):
+    """Bins are keyed by attribute name: one table's cuts would bin the other's values."""
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text("#numeric: n\n1\tn\t100\n2\tn\t300\n3\tn\t600\n")
+    files["action_attrs"].write_text("#numeric: n\na\tn\t3\n")
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert "two bin specs for attribute 'n'" in err
+    assert not list(out.glob("*"))
+
+
+def test_bins_file_repeating_an_attribute_is_config_error(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text("#numeric: age\n2\tage\t30\n3\tage\t40\n")
+    bins = tmp_path / "bins.json"
+    spec = '{"attribute": "age", "boundaries": [35], "labels": ["lo", "hi"]}'
+    bins.write_text(f"[{spec}, {spec}]")
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--bins", str(bins), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert "two bin specs for attribute 'age'" in err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
 def test_non_finite_numeric_attribute_is_parse_error(tmp_path, capsys, value):
     """A NaN or infinite age would become a bin boundary or a `pre-nan` label."""
@@ -278,6 +303,40 @@ def test_render_malformed_document_names_the_file(tmp_path, capsys, doc):
     code, err = run_error(["render", "--in", str(path)], capsys)
     assert code == 2
     assert str(path) in err
+
+
+def valid_render_doc():
+    pred = {"dimension": "user", "attribute": "gender", "value": "male"}
+    row = {"predicates": [pred], "actions": 1, "followers": 1, "followups": 2}
+    return {"influencer": 1, "total_followups": 2, "total_coverage": 2, "explanations": [row]}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("total_followups", "2", "the document: 'total_followups' is not a number"),
+        ("total_coverage", True, "the document: 'total_coverage' is not a number"),
+        ("followups", "2", "explanation 0: 'followups' is not an integer"),
+        ("actions", 1.0, "explanation 0: 'actions' is not an integer"),
+        ("value", ["male"], "a predicate of explanation 0: 'value' is not a string"),
+        ("dimension", 1, "a predicate of explanation 0: 'dimension' is not a string"),
+    ],
+)
+def test_render_mistyped_field_names_the_file(tmp_path, capsys, field, value, message):
+    """A mistyped field is a malformed document (exit 2), not a TypeError in the renderer."""
+    doc = valid_render_doc()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["render", "--in", str(path)]) == 0
+    capsys.readouterr()
+    row = doc["explanations"][0]
+    for holder in (doc, row, row["predicates"][0]):
+        if field in holder:
+            holder[field] = value
+    path.write_text(json.dumps(doc))
+    code, err = run_error(["render", "--in", str(path)], capsys)
+    assert code == 2
+    assert f"{path}: {message}" in err
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

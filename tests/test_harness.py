@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -318,35 +319,10 @@ def test_sweep_over_k_starts_each_stream_once_per_influencer(tmp_path, monkeypat
     }
 
 
-def test_pipeline_builds_each_dag_at_most_twice(tmp_path, monkeypatch):
-    """One propagation pass ranks, one batch pass builds every top-N followup
-    set: no action's DAG is built more than twice."""
-    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
-    config = RunConfig(
-        graph=paths["graph"],
-        actions=paths["actions"],
-        user_attrs=paths["user_attrs"],
-        action_attrs=paths["action_attrs"],
-        top_n=100,
-        out_dir=tmp_path / "out",
-    )
-    builds = []
-    build = ingestion.build_propagation_graph
-
-    def counted(graph, log, action, max_delay=None):
-        builds.append(action)
-        return build(graph, log, action, max_delay)
-
-    monkeypatch.setattr(ingestion, "build_propagation_graph", counted)
-    run_pipeline(config)
-    n_actions = len(harness.load_log(config.actions).actions)
-    assert n_actions <= len(builds) <= 2 * n_actions
-    assert max(Counter(builds).values()) <= 2
-
-
 def test_drivers_build_each_dag_once(tmp_path, monkeypatch):
-    """The batch reads the arcs the propagation pass kept, so `run_pipeline`,
-    `sweep` and `timing_report` each build every action's DAG exactly once."""
+    """The batch reads the arcs the propagation pass kept, so `run_pipeline`
+    (at top 100 as well as top 20), `sweep` and `timing_report` each build
+    every action's DAG exactly once."""
     paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
     config = RunConfig(
         graph=paths["graph"],
@@ -367,6 +343,7 @@ def test_drivers_build_each_dag_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ingestion, "build_propagation_graph", counted)
     runs = {
         "run_pipeline": lambda: run_pipeline(config),
+        "run_pipeline top 100": lambda: run_pipeline(replace(config, top_n=100)),
         "sweep": lambda: sweep(config, "k", [1, 2], ["greedy", "random"]),
         "timing_report": lambda: timing_report(config, ["greedy"]),
     }

@@ -47,11 +47,11 @@ def features(graph, log, max_delay) -> set[str]:
         performers = log.performers(action)
         if any(v in graph.followers(u) for u, t in performers for v, s in performers if s == t and v != u):
             seen.add("tie-on-an-arc")
-        pg = build_propagation_graph(graph, log, action, max_delay)
-        on_arc = {u for u, vs in pg.out_arcs()} | {v for _, vs in pg.out_arcs() for v in vs}
+        arcs = build_propagation_graph(graph, log, action, max_delay)
+        on_arc = set(arcs[::2]).union(*arcs[1::2])
         if not on_arc:
             seen.add("action-without-arcs")
-        elif len(on_arc) < len(pg.nodes):
+        elif len(on_arc) < len(performers):
             seen.add("isolated-performer")
         if len(on_arc) > 64:
             seen.add("wide-bitset")
@@ -71,6 +71,11 @@ def test_stats_match_per_cell_reference():
             assert mine.keys() == theirs.keys(), (i, name)
             for key in theirs:
                 assert mine[key] == theirs[key], (i, name, key)
+        # kept arcs are each action's DAG as built, for the actions with an arc
+        kept = global_followup_stats(graph, log, max_delay, keep_arcs=True)
+        assert kept[:3] == got[:3], i
+        dags = {a: build_propagation_graph(graph, log, a, max_delay) for a in log.actions}
+        assert kept.arcs == {a: arcs for a, arcs in dags.items() if arcs}, i
         if i % 8 == 0:
             for user in sorted(graph.users):
                 n = len(compute_followup_set(graph, log, user, max_delay))
