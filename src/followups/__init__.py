@@ -34,6 +34,7 @@ from .ingestion import (
     followup_histogram,
     followup_sets,
     global_followup_stats,
+    influencer_followup_counts,
     parse_action_log,
     parse_social_graph,
     rank_influencers,
@@ -90,6 +91,7 @@ __all__ = [
     "followup_histogram",
     "followup_sets",
     "global_followup_stats",
+    "influencer_followup_counts",
     "load_attribute_table",
     "mine_explanations",
     "most_popular_baseline",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -197,6 +198,15 @@ def _require_types(
             raise ParseError(f"{path}: {what}: {key!r} is not {noun}")
 
 
+def _require_figures(obj: dict, keys: tuple[str, ...], what: str, path: Path) -> None:
+    """Numbers that passed `_require_types` must be finite and non-negative."""
+    for key in keys:
+        if isinstance(obj[key], float) and not math.isfinite(obj[key]):
+            raise ParseError(f"{path}: {what}: {key!r} is not finite")
+        if obj[key] < 0:
+            raise ParseError(f"{path}: {what}: {key!r} is negative")
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
@@ -205,13 +215,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict) or not doc.get("explanations"):
         raise ParseError(f"{args.input}: no explanations to render")
     _require_keys(doc, ("influencer", "total_followups", "total_coverage"), "the document", args.input)
-    _require_types(doc, ("total_followups", "total_coverage"), (int, float), "a number", "the document", args.input)
+    totals = ("total_followups", "total_coverage")
+    _require_types(doc, totals, (int, float), "a number", "the document", args.input)
+    _require_figures(doc, totals, "the document", args.input)
     if not isinstance(doc["explanations"], list):
         raise ParseError(f"{args.input}: 'explanations' is not a list")
     for i, row in enumerate(doc["explanations"]):
         counts = ("actions", "followers", "followups")
         _require_keys(row, ("predicates", *counts), f"explanation {i}", args.input)
         _require_types(row, counts, (int,), "an integer", f"explanation {i}", args.input)
+        _require_figures(row, counts, f"explanation {i}", args.input)
         if not isinstance(row["predicates"], list):
             raise ParseError(f"{args.input}: explanation {i}: 'predicates' is not a list")
         for pred in row["predicates"]:

@@ -36,6 +36,7 @@ from .ingestion import (
     followup_histogram,
     followup_sets,
     global_followup_stats,
+    influencer_followup_counts,
     parse_action_log,
     parse_social_graph,
     rank_influencers,
@@ -494,7 +495,7 @@ def histogram_csv(graph: SocialGraph, log: ActionLog, max_delay: int | None = No
 
 def rank_csv(graph: SocialGraph, log: ActionLog, top_n: int, max_delay: int | None = None) -> str:
     require_top_n(top_n)
-    rows = rank_influencers(global_followup_stats(graph, log, max_delay).influencer_counts, top_n)
+    rows = rank_influencers(influencer_followup_counts(graph, log, max_delay), top_n)
     return "rank,influencer,followups\n" + "".join(
         f"{i},{u},{c}\n" for i, (u, c) in enumerate(rows, start=1)
     )

@@ -7,7 +7,8 @@ arcs.
 
 `parse_action_log` checks each line and hands plain (user, action, time)
 tuples to `ActionLog`, the one place that keeps the earliest time of a
-repeated (user, action) pair.
+repeated (user, action) pair. The log indexes its rows by action when it is
+built, and by user only on the first `actions_of` call.
 
 An action's propagation DAG has one form: the flat tuple of its out-arcs,
 `(u, successors of u, u, successors of u, ...)` over its arc sources in
@@ -15,10 +16,12 @@ time order, as `build_propagation_graph` returns it.
 
 Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
 every action's DAG once and counts every user's followups by popcount of
-per-node reach bitsets; the counts drive influencer ranking, binning and
-the followup-frequency histogram. On request it also keeps each DAG, and
-`followup_sets` emits all the ranked influencers' followup sets from those
-kept arcs, so a run builds each DAG once. A followup set holds its cells as
+per-node reach bitsets; the counts drive influencer ranking and binning.
+On request it also keeps each DAG, and `followup_sets` emits all the
+ranked influencers' followup sets from those kept arcs, so a run builds
+each DAG once. `rank` and the followup-frequency histogram read only the
+influencer counts, so they call `influencer_followup_counts`, which walks
+each DAG in reverse time order alone. A followup set holds its cells as
 runs: one (action, ascending followers) pair per action, in ascending
 action order. `compute_followup_set` derives one influencer's set on its
 own, by breadth-first search per action; it is the reference the batch is
@@ -79,7 +82,8 @@ class ActionLog:
     """The action log, one row per (user, action) pair.
 
     Built from (user, action, time) tuples; when a pair repeats, its
-    earliest time wins.
+    earliest time wins. The per-user index behind `actions_of` is built on
+    its first call, so a run that only ranks never builds it.
     """
 
     def __init__(self, records: Iterable[tuple[int, str, int]]):
@@ -93,11 +97,7 @@ class ActionLog:
         self.actions = tuple(sorted(earliest))
         by_time = itemgetter(1, 0)
         self._by_action = {a: tuple(sorted(earliest[a].items(), key=by_time)) for a in self.actions}
-        by_user: dict[int, list[str]] = {}
-        for action in self.actions:
-            for user in earliest[action]:
-                by_user.setdefault(user, []).append(action)
-        self._by_user = {u: tuple(actions) for u, actions in by_user.items()}
+        self._by_user: dict[int, tuple[str, ...]] | None = None
 
     def __len__(self) -> int:
         return sum(len(rs) for rs in self._by_action.values())
@@ -108,6 +108,12 @@ class ActionLog:
 
     def actions_of(self, user: int) -> tuple[str, ...]:
         """Action ids performed by `user`, ascending."""
+        if self._by_user is None:
+            by_user: dict[int, list[str]] = {}
+            for action in self.actions:
+                for performer, _ in self._by_action[action]:
+                    by_user.setdefault(performer, []).append(action)
+            self._by_user = {u: tuple(actions) for u, actions in by_user.items()}
         return self._by_user.get(user, ())
 
 
@@ -285,16 +291,16 @@ def build_propagation_graph(
     if not performers:
         raise NotFoundError(f"action {action!r} does not appear in the log")
     time_of = dict(performers)
+    followers = graph._followers.get  # `graph.followers`, without a method call per performer
     arcs = []
     for u, tu in performers:
         out = []
-        for v in graph.followers(u):
-            tv = time_of.get(v)
-            if tv is None or tv <= tu:
-                continue
-            if max_delay is not None and tv - tu > max_delay:
-                continue
-            out.append(v)
+        for v in followers(u, ()):
+            # Most followers did not perform the action: test that first.
+            if v in time_of:
+                tv = time_of[v]
+                if tv > tu and (max_delay is None or tv - tu <= max_delay):
+                    out.append(v)
         if out:
             arcs += (u, tuple(out))
     return tuple(arcs)
@@ -343,10 +349,11 @@ def global_followup_stats(
     """Count followups for every user at once.
 
     Per action, one walk in time order gives each node the bitset of the
-    sources that reach it, and its popcount is that follower's cells. One
-    walk in reverse gives each source the bitset of the nodes it reaches,
-    and its popcount is that influencer's cells. Only nodes on an arc hold
-    a bitset. Users and actions without cells are absent from the dicts.
+    sources that reach it, and its popcount is that follower's cells. The
+    walk in reverse, `_reach_counts`, gives each influencer its cells and
+    the action its total. Only nodes on an arc hold a bitset. Users and
+    actions without cells are absent from the dicts. `influencer_counts`
+    equals `influencer_followup_counts(graph, log, max_delay)`.
 
     With `keep_arcs`, the result's `arcs` holds every DAG with an arc, for
     `followup_sets` to build the top influencers' sets from without
@@ -367,24 +374,50 @@ def global_followup_stats(
             push = up.get(u, 0) | 1 << bit
             for v in vs:
                 up[v] = up.get(v, 0) | push
-        total = 0
         for v, sources in up.items():
-            n = sources.bit_count()
-            follower_cells[v] = follower_cells.get(v, 0) + n
-            total += n
-        action_cells[action] = total
-        # Node -> itself and the nodes it reaches. Every arc target gets its
-        # own bit first; a later source adds what it reaches before any
-        # earlier node reads it.
-        down = {v: 1 << i for i, v in enumerate(up)}
-        for u, vs in zip(arcs[-2::-2], arcs[::-2]):
-            reached = 0
-            for v in vs:
-                reached |= down[v]
-            influencer_counts[u] = influencer_counts.get(u, 0) + reached.bit_count()
-            if u in down:
-                down[u] |= reached
+            follower_cells[v] = follower_cells.get(v, 0) + sources.bit_count()
+        action_cells[action] = _reach_counts(arcs, influencer_counts)
     return FollowupStats(influencer_counts, action_cells, follower_cells, kept)
+
+
+def influencer_followup_counts(
+    graph: SocialGraph, log: ActionLog, max_delay: int | None = None
+) -> dict[int, int]:
+    """Every user's followup count, the `influencer_counts` of
+    `global_followup_stats`, from the reverse walk alone: each action's DAG
+    is built once and no follower counts are made. Users without followups
+    are absent."""
+    counts: dict[int, int] = {}
+    for action in log.actions:
+        arcs = build_propagation_graph(graph, log, action, max_delay)
+        if arcs:
+            _reach_counts(arcs, counts)
+    return counts
+
+
+def _reach_counts(arcs: tuple, counts: dict[int, int]) -> int:
+    """Add to `counts` how many nodes each arc source of `arcs` (one
+    action's flat out-arcs, in time order) reaches; return the sum, the
+    action's cells.
+
+    Walks the sources in reverse time order, so every node a source reaches
+    has its reach bitset before the source reads it. A node gets its own
+    bit the first time the walk sees it. No source walked before `u` has
+    `u` as a target, since each performed no earlier than `u`."""
+    down: dict[int, int] = {}  # node -> itself and the nodes it reaches
+    cells = 0
+    for u, vs in zip(arcs[-2::-2], arcs[::-2]):
+        reached = 0
+        for v in vs:
+            bits = down.get(v)
+            if bits is None:
+                bits = down[v] = 1 << len(down)
+            reached |= bits
+        n = reached.bit_count()
+        counts[u] = counts.get(u, 0) + n
+        cells += n
+        down[u] = 1 << len(down) | reached
+    return cells
 
 
 def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tuple]) -> Iterator[FollowupSet]:
@@ -467,6 +500,6 @@ def followup_histogram(
 ) -> list[tuple[int, int]]:
     """Frequency table (followup count, number of users), ascending by count,
     over users with at least one followup."""
-    counts = global_followup_stats(graph, log, max_delay).influencer_counts
+    counts = influencer_followup_counts(graph, log, max_delay)
     freq = Counter(counts.values())
     return sorted(freq.items())

@@ -230,7 +230,7 @@ def refuse_input_loading(monkeypatch, what: str) -> None:
     def not_reached(*args, **kwargs):
         raise AssertionError(f"{what} is checked before the inputs are loaded")
 
-    for name in ("load_graph", "load_log", "load_table", "global_followup_stats"):
+    for name in ("load_graph", "load_log", "load_table", "global_followup_stats", "influencer_followup_counts"):
         monkeypatch.setattr(harness, name, not_reached)
 
 
@@ -339,6 +339,30 @@ def test_render_mistyped_field_names_the_file(tmp_path, capsys, field, value, me
     assert f"{path}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("total_coverage", float("nan"), "the document: 'total_coverage' is not finite"),
+        ("total_followups", float("inf"), "the document: 'total_followups' is not finite"),
+        ("total_followups", -2, "the document: 'total_followups' is negative"),
+        ("total_coverage", -0.5, "the document: 'total_coverage' is negative"),
+        ("followups", -5, "explanation 0: 'followups' is negative"),
+        ("actions", -1, "explanation 0: 'actions' is negative"),
+        ("followers", -1, "explanation 0: 'followers' is negative"),
+    ],
+)
+def test_render_out_of_range_figure_names_the_file(tmp_path, capsys, field, value, message):
+    """`json.loads` reads NaN and Infinity; neither they nor a negative count is a figure to render."""
+    doc = valid_render_doc()
+    row = doc["explanations"][0]
+    (doc if field in doc else row)[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_error(["render", "--in", str(path)], capsys)
+    assert code == 2
+    assert f"{path}: {message}" in err
+
+
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_rank_top_below_one_is_config_error(tmp_path, capsys, monkeypatch, top):
     files = write_chain(tmp_path)
@@ -347,7 +371,7 @@ def test_rank_top_below_one_is_config_error(tmp_path, capsys, monkeypatch, top):
     def not_reached(*args, **kwargs):
         raise AssertionError("--top is checked before the inputs are loaded")
 
-    for name in ("load_graph", "load_log", "global_followup_stats"):
+    for name in ("load_graph", "load_log", "global_followup_stats", "influencer_followup_counts"):
         monkeypatch.setattr(harness, name, not_reached)
     code, err = run_error(
         ["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"]), "--top", top, "--out", str(out)],
@@ -368,7 +392,7 @@ def test_max_delay_below_one_is_config_error(tmp_path, capsys, monkeypatch, comm
     def not_reached(*args, **kwargs):
         raise AssertionError("--max-delay is checked before the inputs are loaded")
 
-    for name in ("load_graph", "load_log", "load_table", "global_followup_stats"):
+    for name in ("load_graph", "load_log", "load_table", "global_followup_stats", "influencer_followup_counts"):
         monkeypatch.setattr(harness, name, not_reached)
     args = {
         "rank": ["--graph", str(files["graph"]), "--actions", str(files["actions"]), "--out", str(out)],

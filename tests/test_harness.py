@@ -370,6 +370,27 @@ def test_rank_builds_each_dag_once(tmp_path, monkeypatch):
     assert sorted(builds) == list(log.actions)
 
 
+def test_rank_and_histogram_count_influencers_only(tmp_path, monkeypatch):
+    """`rank` and `histogram` read only influencer counts: they make no
+    follower counts and never build the log's per-user index."""
+    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
+    graph, log = harness.load_graph(paths["graph"]), harness.load_log(paths["actions"])
+    counts = global_followup_stats(graph, log).influencer_counts
+    ranked = sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:100]
+    histogram = sorted(Counter(counts.values()).items())
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("rank and histogram need influencer counts alone")
+
+    monkeypatch.setattr(harness, "global_followup_stats", not_reached)
+    monkeypatch.setattr(ingestion, "global_followup_stats", not_reached)
+    monkeypatch.setattr(ingestion.ActionLog, "actions_of", not_reached)
+    rank_rows = harness.rank_csv(graph, log, 100).splitlines()[1:]
+    assert rank_rows == [f"{i},{u},{c}" for i, (u, c) in enumerate(ranked, start=1)]
+    hist_rows = harness.histogram_csv(graph, log).splitlines()[1:]
+    assert hist_rows == [f"{c},{n}" for c, n in histogram]
+
+
 # --- rendering ------------------------------------------------------------
 
 def doc_with(rows, total=100, covered=60):

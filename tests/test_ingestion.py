@@ -85,6 +85,30 @@ def test_action_log_keeps_earliest_of_repeated_pair():
     assert fset.cells == (Cell("a", 2),)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lazy_user_index_equals_performers(seed):
+    """`actions_of` builds its index on first use. Whichever user it is
+    first asked about, every answer equals one built from `performers`."""
+    rng = random.Random(seed)
+    records = [
+        (rng.randint(1, 25), f"a{rng.randint(0, 15):02d}", rng.randint(0, 9))
+        for _ in range(rng.randint(1, 120))
+    ]
+    expected: dict[int, list[str]] = {}
+    reference = ActionLog(records)
+    for action in reference.actions:
+        for user, _ in reference.performers(action):
+            expected.setdefault(user, []).append(action)
+    unknown, negative = max(expected) + 1, -rng.randint(1, 5)
+    users = sorted(expected) + [unknown, negative]
+    for first in (rng.choice(sorted(expected)), unknown, negative):
+        log = ActionLog(records)
+        assert log.actions_of(first) == tuple(expected.get(first, ())), first
+        for user in users:
+            assert log.actions_of(user) == tuple(expected.get(user, ())), (first, user)
+        assert log.actions_of(first) == tuple(expected.get(first, ())), first
+
+
 def test_parse_log_empty():
     assert len(log_of("")) == 0
 

@@ -1,5 +1,6 @@
 """Differential test: the popcount propagation pass `global_followup_stats`
-against the per-cell decode it replaced, and against single-influencer sets."""
+and the counts-only `influencer_followup_counts` against the per-cell decode
+they replaced, and against single-influencer sets."""
 from __future__ import annotations
 
 import random
@@ -12,6 +13,7 @@ from followups.ingestion import (
     build_propagation_graph,
     compute_followup_set,
     global_followup_stats,
+    influencer_followup_counts,
 )
 
 INSTANCES = 240
@@ -71,6 +73,7 @@ def test_stats_match_per_cell_reference():
             assert mine.keys() == theirs.keys(), (i, name)
             for key in theirs:
                 assert mine[key] == theirs[key], (i, name, key)
+        assert influencer_followup_counts(graph, log, max_delay) == ref.influencer_counts, i
         # kept arcs are each action's DAG as built, for the actions with an arc
         kept = global_followup_stats(graph, log, max_delay, keep_arcs=True)
         assert kept[:3] == got[:3], i
