@@ -172,15 +172,15 @@ def _top_indexes(config: RunConfig) -> tuple[list[BinSpec], Iterator[tuple[int, 
     Returns the bins and a lazy generator of (influencer, followups, index)
     over the top `config.top_n` influencers, so that a consumer which drops
     each index before the next keeps one alive at a time. Their followup sets
-    come from one `followup_sets` pass over the arcs the propagation pass
-    kept, made when the first index is asked for.
+    come from one `followup_sets` pass, made when the first index is asked
+    for: it walks the action log by action and reads the kept arcs.
     Every index shares one `PredicateCatalog`, built once the bins are known.
     """
     graph = load_graph(config.graph)
     log = load_log(config.actions)
     user_attrs = load_table(config.user_attrs, USER)
     action_attrs = load_table(config.action_attrs, ACTION)
-    stats = global_followup_stats(graph, log, config.max_delay, keep_arcs=True)
+    stats = global_followup_stats(graph, log, config.max_delay)
     if config.bins is None:
         bins = prepare_bins(user_attrs, action_attrs, stats, config.nbins)
     else:

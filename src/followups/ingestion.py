@@ -7,8 +7,8 @@ arcs.
 
 `parse_action_log` checks each line and hands plain (user, action, time)
 tuples to `ActionLog`, the one place that keeps the earliest time of a
-repeated (user, action) pair. The log indexes its rows by action when it is
-built, and by user only on the first `actions_of` call.
+repeated (user, action) pair. It indexes its rows by action alone, since
+every DAG and every followup set is built one action at a time.
 
 An action's propagation DAG has one form: the flat tuple of its out-arcs,
 `(u, successors of u, u, successors of u, ...)` over its arc sources in
@@ -17,9 +17,9 @@ time order, as `build_propagation_graph` returns it.
 Two passes over the DAGs serve the pipeline. `global_followup_stats` builds
 every action's DAG once and counts every user's followups by popcount of
 per-node reach bitsets; the counts drive influencer ranking and binning.
-On request it also keeps each DAG, and `followup_sets` emits all the
-ranked influencers' followup sets from those kept arcs, so a run builds
-each DAG once. `rank` and the followup-frequency histogram read only the
+It also keeps each DAG, and `followup_sets` emits all the ranked
+influencers' followup sets from those kept arcs, so a run builds each DAG
+once. `rank` and the followup-frequency histogram read only the
 influencer counts, so they call `influencer_followup_counts`, which walks
 each DAG in reverse time order alone. A followup set holds its cells as
 runs: one (action, ascending followers) pair per action, in ascending
@@ -46,12 +46,19 @@ class Cell(NamedTuple):
 
 class SocialGraph:
     """Directed follow graph. An arc u -> v means v follows u, so influence
-    flows from u to v."""
+    flows from u to v.
 
-    def __init__(self, users: Iterable[int], follower_map: dict[int, tuple[int, ...]]):
-        self.users = frozenset(users)
-        self._followers = follower_map
-        self.n_arcs = sum(len(vs) for vs in follower_map.values())
+    Built from `adj`, each user's set of followers. Every user named there
+    or in `users` is registered."""
+
+    def __init__(self, adj: Mapping[int, set[int]], users: Iterable[int] = ()):
+        seen_users = set(users)
+        seen_users.update(adj)
+        for vs in adj.values():
+            seen_users |= vs
+        self.users = frozenset(seen_users)
+        self._followers = {u: tuple(sorted(vs)) for u, vs in adj.items()}
+        self.n_arcs = sum(len(vs) for vs in self._followers.values())
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple[int, int]], users: Iterable[int] = ()) -> "SocialGraph":
@@ -61,17 +68,7 @@ class SocialGraph:
             if u == v:
                 raise ValueError(f"self-arc {u}->{v}")
             adj.setdefault(u, set()).add(v)
-        return cls.from_adjacency(adj, users)
-
-    @classmethod
-    def from_adjacency(cls, adj: dict[int, set[int]], users: Iterable[int] = ()) -> "SocialGraph":
-        """Build a graph from each user's set of followers; every user named
-        is registered."""
-        seen_users = set(users)
-        seen_users.update(adj)
-        for vs in adj.values():
-            seen_users |= vs
-        return cls(seen_users, {u: tuple(sorted(vs)) for u, vs in adj.items()})
+        return cls(adj, users)
 
     def followers(self, user: int) -> tuple[int, ...]:
         """Users that follow `user`, ascending."""
@@ -82,8 +79,7 @@ class ActionLog:
     """The action log, one row per (user, action) pair.
 
     Built from (user, action, time) tuples; when a pair repeats, its
-    earliest time wins. The per-user index behind `actions_of` is built on
-    its first call, so a run that only ranks never builds it.
+    earliest time wins. Rows are indexed by action only.
     """
 
     def __init__(self, records: Iterable[tuple[int, str, int]]):
@@ -97,7 +93,6 @@ class ActionLog:
         self.actions = tuple(sorted(earliest))
         by_time = itemgetter(1, 0)
         self._by_action = {a: tuple(sorted(earliest[a].items(), key=by_time)) for a in self.actions}
-        self._by_user: dict[int, tuple[str, ...]] | None = None
 
     def __len__(self) -> int:
         return sum(len(rs) for rs in self._by_action.values())
@@ -107,14 +102,9 @@ class ActionLog:
         return self._by_action.get(action, ())
 
     def actions_of(self, user: int) -> tuple[str, ...]:
-        """Action ids performed by `user`, ascending."""
-        if self._by_user is None:
-            by_user: dict[int, list[str]] = {}
-            for action in self.actions:
-                for performer, _ in self._by_action[action]:
-                    by_user.setdefault(performer, []).append(action)
-            self._by_user = {u: tuple(actions) for u, actions in by_user.items()}
-        return self._by_user.get(user, ())
+        """Action ids performed by `user`, ascending, by a scan of the log."""
+        user_of = itemgetter(0)
+        return tuple(a for a, rows in self._by_action.items() if user in map(user_of, rows))
 
 
 class FollowupSet:
@@ -206,7 +196,7 @@ def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
         arc = _checked_arc(raw, lineno)
         if arc is not None:
             adj.setdefault(arc[0], set()).add(arc[1])
-    return SocialGraph.from_adjacency(adj)
+    return SocialGraph(adj)
 
 
 def _checked_arc(raw: str, lineno: int) -> tuple[int, int] | None:
@@ -310,10 +300,10 @@ def compute_followup_set(
     graph: SocialGraph, log: ActionLog, influencer: int, max_delay: int | None = None
 ) -> FollowupSet:
     """All cells (action, follower) reachable from `influencer` in each of
-    their actions' propagation graphs. A user with no actions yields an
-    empty set."""
+    their actions' propagation graphs, as one run per action with a cell. A
+    user with no actions yields an empty set."""
     performed = log.actions_of(influencer)
-    cells: list[Cell] = []
+    runs = []
     for action in performed:
         it = iter(build_propagation_graph(graph, log, action, max_delay))
         successors = dict(zip(it, it))
@@ -326,26 +316,23 @@ def compute_followup_set(
                     seen.add(v)
                     queue.append(v)
         seen.discard(influencer)
-        cells.extend(Cell(action, v) for v in sorted(seen))
-    return FollowupSet(influencer, cells, performed)
+        if seen:
+            runs.append((action, tuple(sorted(seen))))
+    return FollowupSet.from_runs(influencer, runs, performed)
 
 
 class FollowupStats(NamedTuple):
-    """Aggregates of one pass over every action's propagation DAG.
-
-    `arcs`, kept only on request, maps each action with an arc to its DAG,
-    the tuple `build_propagation_graph` returned for it.
-    """
+    """Aggregates of one pass over every action's propagation DAG; `arcs`
+    maps each action with an arc to its DAG as `build_propagation_graph`
+    returned it."""
 
     influencer_counts: dict[int, int]
     action_cells: dict[str, int]
     follower_cells: dict[int, int]
-    arcs: dict[str, tuple] | None = None
+    arcs: dict[str, tuple]
 
 
-def global_followup_stats(
-    graph: SocialGraph, log: ActionLog, max_delay: int | None = None, *, keep_arcs: bool = False
-) -> FollowupStats:
+def global_followup_stats(graph: SocialGraph, log: ActionLog, max_delay: int | None = None) -> FollowupStats:
     """Count followups for every user at once.
 
     Per action, one walk in time order gives each node the bitset of the
@@ -355,20 +342,18 @@ def global_followup_stats(
     actions without cells are absent from the dicts. `influencer_counts`
     equals `influencer_followup_counts(graph, log, max_delay)`.
 
-    With `keep_arcs`, the result's `arcs` holds every DAG with an arc, for
-    `followup_sets` to build the top influencers' sets from without
-    building any DAG again. Otherwise it is None.
+    The result's `arcs` holds every DAG with an arc, for `followup_sets`
+    to build the top influencers' sets from without building any DAG again.
     """
     influencer_counts: dict[int, int] = {}
     action_cells: dict[str, int] = {}
     follower_cells: dict[int, int] = {}
-    kept: dict[str, tuple] | None = {} if keep_arcs else None
+    kept: dict[str, tuple] = {}
     for action in log.actions:
         arcs = build_propagation_graph(graph, log, action, max_delay)
         if not arcs:
             continue
-        if kept is not None:
-            kept[action] = arcs
+        kept[action] = arcs
         up: dict[int, int] = {}  # node -> the sources that reach it
         for bit, (u, vs) in enumerate(zip(arcs[::2], arcs[1::2])):
             push = up.get(u, 0) | 1 << bit
@@ -424,30 +409,34 @@ def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tu
     """The followup set of each of `influencers` (distinct user ids), in input
     order, equal to `compute_followup_set` on each of them.
 
-    `arcs` is the `arcs` of `global_followup_stats(graph, log, max_delay,
-    keep_arcs=True)`, and the pass consumes it: it drops each action's
-    entry as it reads it, and empties the dict when done. One pass walks the
-    sorted union of the influencers' actions, skipping those without arcs.
-    As in `global_followup_stats`, arc sources are processed in time order,
-    pushing a bitset of the sources that reach them, but only the listed
-    influencers are sources. Each node's bits are decoded in ascending
-    follower id. The pass runs at the first `next()` and keeps only each
-    influencer's (action, followers) runs; those are dropped as the
-    influencer's set is yielded.
+    `arcs` is the `arcs` of `global_followup_stats(graph, log, max_delay)`,
+    and the pass consumes it: it drops each action's entry as it reads it,
+    and empties the dict when done. One pass walks `log.actions` in
+    ascending order and records each action for the listed influencers
+    among its performers; it reads an action's kept arcs only when one of
+    them performed it. As in `global_followup_stats`, arc sources are
+    processed in time order, pushing a bitset of the sources that reach
+    them, but only the listed influencers are sources. Each node's bits are
+    decoded in ascending follower id. The pass runs at the first `next()`,
+    and each influencer's runs are dropped as their set is yielded.
     """
     order = list(influencers)
     listed = set(order)
     if len(listed) != len(order):
         raise ValueError("duplicate influencer")
+    performed: dict[int, list[str]] = {u: [] for u in order}
     runs: dict[int, list[tuple[str, tuple[int, ...]]]] = {u: [] for u in order}
-    for action in sorted({a for u in order for a in log.actions_of(u)}):
-        action_arcs = arcs.pop(action, ())
-        if action_arcs:
-            for u, followers in _listed_reach(action_arcs, listed):
+    user_of = itemgetter(0)
+    for action in log.actions:
+        doers = listed.intersection(map(user_of, log.performers(action)))
+        for u in doers:
+            performed[u].append(action)
+        if doers and action in arcs:
+            for u, followers in _listed_reach(arcs.pop(action), listed):
                 runs[u].append((action, followers))
     arcs.clear()  # the rest are arcs of actions no listed influencer performed
     for u in order:
-        yield FollowupSet.from_runs(u, runs.pop(u), log.actions_of(u))
+        yield FollowupSet.from_runs(u, runs.pop(u), performed.pop(u))
 
 
 def _listed_reach(arcs: tuple, listed: set[int]) -> list[tuple[int, tuple[int, ...]]]:

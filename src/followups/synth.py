@@ -12,6 +12,7 @@ carry a version tag so datasets remain reproducible across runs.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,13 @@ class SynthConfig:
             raise ConfigError(f"genres must be >= 2, got {self.genres}")
         if self.directors < 1 or self.writers < 1:
             raise ConfigError("directors and writers must be >= 1")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name in ("actions", "background_follows", "noise_performers", "max_hops") and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if self.taste_bias <= 0:
+            raise ConfigError(f"taste_bias must be > 0, got {self.taste_bias}")
 
 
 @dataclass

@@ -46,7 +46,7 @@ class ReferenceLog:
             by_action.setdefault(action, []).append((user, time))
             by_user.setdefault(user, []).append(action)
         self._by_action = {a: tuple(sorted(rs, key=lambda r: (r[1], r[0]))) for a, rs in by_action.items()}
-        self._by_user = {u: tuple(sorted(actions)) for u, actions in by_user.items()}
+        self._performed = {u: tuple(sorted(actions)) for u, actions in by_user.items()}
         self.actions = tuple(sorted(self._by_action))
 
     def __len__(self) -> int:
@@ -56,7 +56,7 @@ class ReferenceLog:
         return self._by_action.get(action, ())
 
     def actions_of(self, user: int) -> tuple[str, ...]:
-        return self._by_user.get(user, ())
+        return self._performed.get(user, ())
 
 
 def reference_parse_social_graph(lines) -> SocialGraph:
@@ -150,13 +150,17 @@ def reference_load_attribute_table(lines, dimension) -> AttributeTable:
 def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
     """The per-cell propagation pass: per action, nodes in time order carry
     the bitset of the sources that reach them, and every set bit is decoded
-    into one cell of its source."""
+    into one cell of its source. Each DAG with an arc is kept as built."""
     influencer_counts: dict[int, int] = Counter()
     action_cells: dict[str, int] = Counter()
     follower_cells: dict[int, int] = Counter()
+    dags: dict[str, tuple] = {}
     for action in log.actions:
         nodes = [u for u, _ in log.performers(action)]
-        it = iter(build_propagation_graph(graph, log, action, max_delay))
+        dag = build_propagation_graph(graph, log, action, max_delay)
+        if dag:
+            dags[action] = dag
+        it = iter(dag)
         successors = dict(zip(it, it))
         index = {u: i for i, u in enumerate(nodes)}
         reach = [0] * len(nodes)
@@ -176,7 +180,7 @@ def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
                 low = sources & -sources
                 influencer_counts[nodes[low.bit_length() - 1]] += 1
                 sources ^= low
-    return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells))
+    return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells), dags)
 
 
 def reference_sweep(config, axis, values, algos) -> harness.SweepResult:

@@ -8,6 +8,7 @@ import pytest
 
 from followups import harness
 from followups.cli import main
+from followups.errors import ConfigError
 from followups.synth import SynthConfig, write_dataset
 
 CHAIN_GRAPH = "1\t2\n2\t3\n"
@@ -147,6 +148,45 @@ def test_gen_zero_sizes_are_config_errors(tmp_path, capsys, flag):
     code, err = run_error(["gen", "--out", str(tmp_path / "ds"), flag, "0"], capsys)
     assert code == 2
     assert flag[2:] in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--follower-base", "nan"),
+        ("--follower-base", "inf"),
+        ("--activity-skew", "nan"),
+        ("--follower-skew", "nan"),
+        ("--cascade-boost", "nan"),
+        ("--actions", "-3"),
+    ],
+)
+def test_gen_bad_generator_settings_are_config_errors(tmp_path, capsys, flag, value):
+    argv = ["gen", "--out", str(tmp_path / "ds"), "--users", "50", "--hubs", "2", flag, value]
+    code, err = run_error(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"taste_bias": 0.0},
+        {"taste_bias": -1.0},
+        {"taste_bias": float("nan")},
+        {"multi_genre_p": float("inf")},
+        {"cascade_base": float("-inf")},
+        {"actions": -1},
+        {"max_hops": -1},
+        {"background_follows": -1},
+        {"noise_performers": -1},
+    ],
+)
+def test_synth_config_rejects_bad_settings(fields):
+    with pytest.raises(ConfigError, match=next(iter(fields))):
+        SynthConfig(users=50, hubs=2, **fields)
 
 
 def test_bins_file_without_boundaries_names_the_file(tmp_path, capsys):

@@ -89,7 +89,7 @@ def test_followup_sets_match_single_influencer_oracle():
         rng = random.Random(57_000 + i)
         graph, log, max_delay, influencers = random_instance(rng)
         expected = [compute_followup_set(graph, log, u, max_delay) for u in influencers]
-        stats = global_followup_stats(graph, log, max_delay, keep_arcs=True)
+        stats = global_followup_stats(graph, log, max_delay)
         covered.update(features(graph, log, max_delay, influencers, expected))
         # its own rng, so that the instances stay those the thresholds were set on
         catalog = random_catalog(random.Random(58_000 + i), graph, log)
@@ -115,7 +115,7 @@ def test_followup_sets_match_single_influencer_oracle():
 def test_followup_sets_input_order_and_duplicates():
     graph = SocialGraph.from_arcs([(1, 2), (2, 3)])
     log = ActionLog([(1, "a", 1), (2, "a", 2), (3, "a", 3)])
-    arcs = global_followup_stats(graph, log, keep_arcs=True).arcs
+    arcs = global_followup_stats(graph, log).arcs
     assert [len(f) for f in followup_sets(log, [2, 1, 9], arcs)] == [1, 2, 0]
     with pytest.raises(ValueError, match="duplicate influencer"):
         next(followup_sets(log, [1, 1], {}))

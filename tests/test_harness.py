@@ -391,6 +391,35 @@ def test_rank_and_histogram_count_influencers_only(tmp_path, monkeypatch):
     assert hist_rows == [f"{c},{n}" for c, n in histogram]
 
 
+def test_mine_path_reads_the_log_by_action_only(tmp_path, monkeypatch):
+    """`run_pipeline`, `sweep` and `timing_report` never ask the log for a
+    user's actions, and give the same results as when they may."""
+    paths = write_dataset(SynthConfig(users=300, actions=120, seed=5, hubs=6), tmp_path / "ds")
+    config = RunConfig(
+        graph=paths["graph"],
+        actions=paths["actions"],
+        user_attrs=paths["user_attrs"],
+        action_attrs=paths["action_attrs"],
+        top_n=100,
+    )
+
+    def results(out_dir):
+        summary = run_pipeline(replace(config, out_dir=out_dir)).summary_rows
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        points = sweep(config, "k", [1, 2], ["greedy", "random"]).points
+        coverages = [(point.value, point.coverages, point.medians) for point in points]
+        timing = [row[:3] for row in timing_report(config, ["greedy"])]
+        return summary, files, coverages, timing
+
+    expected = results(tmp_path / "plain")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the mine path reads the action log by action only")
+
+    monkeypatch.setattr(ingestion.ActionLog, "actions_of", not_reached)
+    assert results(tmp_path / "guarded") == expected
+
+
 # --- rendering ------------------------------------------------------------
 
 def doc_with(rows, total=100, covered=60):

@@ -261,13 +261,10 @@ def test_global_stats_consistent_with_per_user():
     assert total == sum(stats.action_cells.values()) == sum(stats.follower_cells.values())
 
 
-def test_global_stats_keeps_arcs_only_on_request():
+def test_global_stats_keeps_arcs():
     g = graph_of(CHAIN_GRAPH + "3\t1\n")
     log = log_of(CHAIN_LOG + "1\tb\t1\n")
-    assert global_followup_stats(g, log).arcs is None
-    kept = global_followup_stats(g, log, keep_arcs=True)
-    assert kept.arcs == {"a": (1, (2,), 2, (3,))}  # b has no arc
-    assert kept[:3] == global_followup_stats(g, log)[:3]
+    assert global_followup_stats(g, log).arcs == {"a": (1, (2,), 2, (3,))}  # b has no arc
 
 
 # --- followup sets as runs ------------------------------------------------

@@ -75,7 +75,7 @@ def test_stats_match_per_cell_reference():
                 assert mine[key] == theirs[key], (i, name, key)
         assert influencer_followup_counts(graph, log, max_delay) == ref.influencer_counts, i
         # kept arcs are each action's DAG as built, for the actions with an arc
-        kept = global_followup_stats(graph, log, max_delay, keep_arcs=True)
+        kept = global_followup_stats(graph, log, max_delay)
         assert kept[:3] == got[:3], i
         dags = {a: build_propagation_graph(graph, log, a, max_delay) for a in log.actions}
         assert kept.arcs == {a: arcs for a, arcs in dags.items() if arcs}, i
