@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, ResourceLimitError
 from .featurization import PredicateIndex, predicate_popularity
-from .miner import Explanation, ExplanationSet, _finish, covered_bits
+from .miner import Explanation, ExplanationSet, _finish, _first, covered_bits
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -63,10 +63,7 @@ def random_explanations(index: PredicateIndex, l: int, seed: int) -> Iterator[Ex
 def random_baseline(index: PredicateIndex, k: int, l: int, seed: int) -> ExplanationSet:
     """k explanations of l distinct predicates each, drawn with probability
     proportional to their cell counts. Fully determined by the seed."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    eset = _finish(index, list(islice(random_explanations(index, l, seed), k)))
-    eset.algorithm = "random"
+    eset = _first(index, random_explanations(index, l, seed), k, l, "random")
     eset.seed = seed
     return eset
 
@@ -85,12 +82,8 @@ def most_popular_explanations(index: PredicateIndex, l: int) -> Iterator[Explana
 def most_popular_baseline(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     """The first k explanations of `most_popular_explanations`. A catalog
     smaller than k*l truncates the tail and flags the output."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    explanations = list(islice(most_popular_explanations(index, l), k))
-    eset = _finish(index, explanations)
-    eset.algorithm = "most-popular"
-    eset.truncated = len(explanations) < k or any(len(e.predicates) < l for e in explanations)
+    eset = _first(index, most_popular_explanations(index, l), k, l, "most-popular")
+    eset.truncated = len(eset.explanations) < k or any(len(e.predicates) < l for e in eset.explanations)
     return eset
 
 
@@ -163,11 +156,7 @@ def exhaustive_baseline(
 ) -> ExplanationSet:
     """The first k explanations of `exhaustive_explanations`: per iteration,
     the l-predicate combination with the largest marginal coverage."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    eset = _finish(index, list(islice(exhaustive_explanations(index, l, node_budget), k)))
-    eset.algorithm = "exhaustive"
-    return eset
+    return _first(index, exhaustive_explanations(index, l, node_budget), k, l, "exhaustive")
 
 
 def brute_force_oracle(
@@ -211,6 +200,4 @@ def brute_force_oracle(
     for combo in best:
         expl, unmarked = _make_explanation(index, combo, unmarked)
         explanations.append(expl)
-    eset = _finish(index, explanations)
-    eset.algorithm = "oracle"
-    return best_cov, eset
+    return best_cov, _finish(index, explanations, "oracle")

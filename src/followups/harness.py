@@ -6,6 +6,7 @@ seed; wall-clock measurements are only written when explicitly requested.
 """
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -44,7 +45,19 @@ from .ingestion import (
     require_top_n,
 )
 
-ALGORITHMS = ("greedy", "eager", "random", "most-popular", "exhaustive", "oracle")
+# Each sequential algorithm by name, as the factory `(index, l, seed,
+# node_budget)` of its explanation stream: the stream's first k explanations
+# are the algorithm's run at k. The oracle has no stream, since its best
+# k-set need not extend its best (k-1)-set. Each entry looks its function up
+# in its module when called, so a wrapper set on the module is the one run.
+_STREAMS = {
+    "greedy": lambda index, l, seed, budget: miner.greedy_explanations(index, l),
+    "eager": lambda index, l, seed, budget: miner.eager_explanations(index, l),
+    "random": lambda index, l, seed, budget: baselines.random_explanations(index, l, seed),
+    "most-popular": lambda index, l, seed, budget: baselines.most_popular_explanations(index, l),
+    "exhaustive": lambda index, l, seed, budget: baselines.exhaustive_explanations(index, l, budget),
+}
+ALGORITHMS = (*_STREAMS, "oracle")
 
 
 @dataclass
@@ -68,6 +81,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.k < 1 or self.l < 1 or self.top_n < 1:
             raise ConfigError("k, l and top_n must all be >= 1")
+        if self.k > sys.maxsize:
+            raise ConfigError(f"k must be <= {sys.maxsize}, got {self.k}")
         if self.nbins < 1:
             raise ConfigError(f"nbins must be >= 1, got {self.nbins}")
         if self.node_budget < 1:
@@ -203,17 +218,12 @@ def _require_indexes(indexes: Sequence[PredicateIndex]) -> None:
         raise ConfigError("no user has a followup, so there is nothing to sweep or time")
 
 
-def _time_algorithm(config: RunConfig, algo: str, indexes, k: int, l: int) -> tuple[list[float], float]:
-    """Relative coverage of `algo` on each index, and the median wall-clock
+def _timed_run(config: RunConfig, algo: str, index: PredicateIndex, k: int, l: int) -> tuple[float, float]:
+    """Relative coverage of `algo` on `index` at (k, l), and the wall-clock
     milliseconds of the mining call alone."""
-    covs = []
-    times = []
-    for index in indexes:
-        t0 = time.perf_counter()
-        eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
-        times.append((time.perf_counter() - t0) * 1000.0)
-        covs.append(eset.relative_coverage)
-    return covs, median(times)
+    t0 = time.perf_counter()
+    eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
+    return eset.relative_coverage, (time.perf_counter() - t0) * 1000.0
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -281,23 +291,6 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
 
 
-def _explanation_stream(config: RunConfig, algo: str, index: PredicateIndex):
-    """The generator behind a sequential algorithm at `config.l`: its first k
-    explanations are that algorithm's run at k. None for the oracle, whose
-    best k-set need not extend its best (k-1)-set."""
-    if algo == "greedy":
-        return miner.greedy_explanations(index, config.l)
-    if algo == "eager":
-        return miner.eager_explanations(index, config.l)
-    if algo == "random":
-        return baselines.random_explanations(index, config.l, config.seed)
-    if algo == "most-popular":
-        return baselines.most_popular_explanations(index, config.l)
-    if algo == "exhaustive":
-        return baselines.exhaustive_explanations(index, config.l, config.node_budget)
-    return None
-
-
 def _sweep_runs(
     config: RunConfig, axis: str, values: Sequence[int], algo: str, index: PredicateIndex
 ) -> Iterator[tuple[float, float]]:
@@ -309,14 +302,12 @@ def _sweep_runs(
     and its time is the time until the k-th (or until the stream ended).
     Every other run is one mining call per value.
     """
-    stream = _explanation_stream(config, algo, index) if axis == "k" else None
-    if stream is None:
+    if axis == "l" or algo not in _STREAMS:
         for value in values:
             k, l = (value, config.l) if axis == "k" else (config.k, value)
-            t0 = time.perf_counter()
-            eset = run_algorithm(algo, index, k, l, config.seed, config.node_budget)
-            yield eset.relative_coverage, (time.perf_counter() - t0) * 1000.0
+            yield _timed_run(config, algo, index, k, l)
         return
+    stream = _STREAMS[algo](index, config.l, config.seed, config.node_budget)
     union = taken = 0
     millis = 0.0
     for k in values:
@@ -353,6 +344,8 @@ def sweep(
         raise ConfigError("sweep values must be non-empty and strictly ascending")
     if values[0] < 1:
         raise ConfigError(f"sweep values must be >= 1, got {values[0]}")
+    if axis == "k" and values[-1] > sys.maxsize:
+        raise ConfigError(f"k must be <= {sys.maxsize}, got {values[-1]}")
     if not algos:
         raise ConfigError("sweep needs at least one algorithm")
     for algo in algos:
@@ -435,10 +428,8 @@ def timing_report(
         config.validate()
         indexes = [index for _, _, index in _top_indexes(config)[1]]
     _require_indexes(indexes)
-    return [
-        (algo, config.k, config.l, _time_algorithm(config, algo, indexes, config.k, config.l)[1])
-        for algo in algos
-    ]
+    k, l = config.k, config.l
+    return [(algo, k, l, median([_timed_run(config, algo, index, k, l)[1] for index in indexes])) for algo in algos]
 
 
 def _predicate_display(pred: Mapping, display: Mapping[str, str] | None) -> str:

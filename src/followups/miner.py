@@ -192,9 +192,7 @@ def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     Stops early once no explanation can cover any unmarked cell; an empty
     catalog yields an empty set.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    return _finish(index, list(islice(greedy_explanations(index, l), k)))
+    return _first(index, greedy_explanations(index, l), k, l)
 
 
 def eager_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
@@ -236,9 +234,7 @@ def eager_greedy(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     results identical to `mine_explanations` under the shared tie-break
     (highest marginal, then lowest predicate id).
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    return _finish(index, list(islice(eager_explanations(index, l), k)))
+    return _first(index, eager_explanations(index, l), k, l)
 
 
 def _bit_indices(bits: int) -> tuple[int, ...]:
@@ -250,7 +246,7 @@ def _bit_indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _finish(index: PredicateIndex, explanations: list[Explanation]) -> ExplanationSet:
+def _finish(index: PredicateIndex, explanations: list[Explanation], algorithm: str | None = None) -> ExplanationSet:
     union = 0
     for expl in explanations:
         union |= expl.covered_bits
@@ -260,7 +256,18 @@ def _finish(index: PredicateIndex, explanations: list[Explanation]) -> Explanati
         union,
         total,
         total / index.n_cells if index.n_cells else 0.0,
+        algorithm,
     )
+
+
+def _first(
+    index: PredicateIndex, explanations: Iterator[Explanation], k: int, l: int, algorithm: str | None = None
+) -> ExplanationSet:
+    """The first `k` explanations of a stream, as a set tagged with
+    `algorithm`; `k` and the stream's `l` must both be >= 1."""
+    if k < 1 or l < 1:
+        raise ValueError("k and l must be >= 1")
+    return _finish(index, list(islice(explanations, k)), algorithm)
 
 
 def annotate(explanation: Explanation, index: PredicateIndex) -> Annotation:

@@ -63,6 +63,11 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.taste_bias <= 0:
             raise ConfigError(f"taste_bias must be > 0, got {self.taste_bias}")
+        if self.follower_base < 0:
+            raise ConfigError(f"follower_base must be >= 0, got {self.follower_base}")
+        for name in ("cascade_base", "cascade_boost", "multi_genre_p"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -196,9 +197,15 @@ def reference_sweep(config, axis, values, algos) -> harness.SweepResult:
         l = value if axis == "l" else config.l
         point = harness.SweepPoint(value=value, coverages={}, medians={}, millis={})
         for algo in algos:
-            covs, point.millis[algo] = harness._time_algorithm(config, algo, indexes, k, l)
+            covs, times = [], []
+            for index in indexes:
+                t0 = time.perf_counter()
+                eset = harness.run_algorithm(algo, index, k, l, config.seed, config.node_budget)
+                times.append((time.perf_counter() - t0) * 1000.0)
+                covs.append(eset.relative_coverage)
             point.coverages[algo] = covs
             point.medians[algo] = harness.median(covs)
+            point.millis[algo] = harness.median(times)
         result.points.append(point)
     return result
 

@@ -1,13 +1,14 @@
 """Command-line interface: happy paths and exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from followups import harness
-from followups.cli import main
+from followups.cli import build_parser, main
 from followups.errors import ConfigError
 from followups.synth import SynthConfig, write_dataset
 
@@ -159,6 +160,9 @@ def test_gen_zero_sizes_are_config_errors(tmp_path, capsys, flag):
         ("--follower-skew", "nan"),
         ("--cascade-boost", "nan"),
         ("--actions", "-3"),
+        ("--cascade-boost", "2"),
+        ("--cascade-base", "-0.5"),
+        ("--follower-base", "-1"),
     ],
 )
 def test_gen_bad_generator_settings_are_config_errors(tmp_path, capsys, flag, value):
@@ -182,6 +186,8 @@ def test_gen_bad_generator_settings_are_config_errors(tmp_path, capsys, flag, va
         {"max_hops": -1},
         {"background_follows": -1},
         {"noise_performers": -1},
+        {"multi_genre_p": 1.5},
+        {"multi_genre_p": -0.1},
     ],
 )
 def test_synth_config_rejects_bad_settings(fields):
@@ -464,3 +470,60 @@ def test_internal_value_error_is_not_a_user_error(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(harness, "rank_csv", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["rank", "--graph", str(files["graph"]), "--actions", str(files["actions"])])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "-k", str(10**20)],
+        ["baseline", "--algo", "random", "-k", str(10**20)],
+        ["sweep", "--axis", "k", "--values", f"1,{10**20}"],
+    ],
+)
+def test_k_above_sys_maxsize_is_config_error(tmp_path, capsys, argv):
+    files = write_chain(tmp_path)
+    out = tmp_path / "out"
+    code, err = run_error([argv[0], *attr_args(files), *argv[1:], "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: k must be")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Each fuzzed subcommand with the arguments it needs besides its inputs and `--out`.
+FUZZ_COMMANDS = {
+    "rank": ["--top", "3"],
+    "histogram": [],
+    "mine": ["--top", "3"],
+    "baseline": ["--algo", "random", "--top", "3"],
+    "sweep": ["--axis", "k", "--values", "1,2", "--top", "3"],
+}
+
+
+def int_options(command: str) -> list[str]:
+    """The options of `command` whose type is `int`."""
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[0] for a in subparsers.choices[command]._actions if a.type is int]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    return write_dataset(SynthConfig(users=200, actions=80, seed=3, hubs=4), tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [(c, o, v) for c in FUZZ_COMMANDS for o in int_options(c) for v in (0, -1, 2, 10**20)],
+)
+def test_int_options_exit_cleanly(tmp_path, capsys, fuzz_dataset, command, option, value):
+    """Every int option at 0, -1, 2 and 10**20 exits 0, 2 or 3 with no exception."""
+    inputs = ["--graph", str(fuzz_dataset["graph"]), "--actions", str(fuzz_dataset["actions"])]
+    if command not in ("rank", "histogram"):
+        inputs += ["--user-attrs", str(fuzz_dataset["user_attrs"]), "--action-attrs", str(fuzz_dataset["action_attrs"])]
+    argv = [command, *inputs, *FUZZ_COMMANDS[command], "--out", str(tmp_path / "out"), option, str(value)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3)

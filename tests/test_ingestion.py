@@ -87,8 +87,8 @@ def test_action_log_keeps_earliest_of_repeated_pair():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_lazy_user_index_equals_performers(seed):
-    """`actions_of` builds its index on first use. Whichever user it is
-    first asked about, every answer equals one built from `performers`."""
+    """`actions_of` scans the per-action rows. Whichever user it is first
+    asked about, every answer equals one built from `performers`."""
     rng = random.Random(seed)
     records = [
         (rng.randint(1, 25), f"a{rng.randint(0, 15):02d}", rng.randint(0, 9))
