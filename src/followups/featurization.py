@@ -25,8 +25,9 @@ ACTION = "action"
 DIMENSIONS = (ACTION, USER)
 
 # Who the "user" side of a predicate is evaluated on. Follower semantics is
-# the default; the influencer variant is kept selectable because the two
-# readings disagree only on degenerate inputs.
+# the default. The influencer reading tests the influencer's own attributes,
+# the same on every cell, so a user predicate then covers all of an
+# influencer's cells or none of them.
 TARGET_FOLLOWER = "follower"
 TARGET_INFLUENCER = "influencer"
 
@@ -227,7 +228,9 @@ def bin_numeric_attribute(
 
     Equal values always share a bin, so the bins partition the distinct
     values into `nbins` contiguous runs minimizing the heaviest bin (exact
-    minimax, dynamic program over run boundaries).
+    minimax, dynamic program over run boundaries). Weights are
+    non-negative, so each DP step is a binary search: O(nbins·m·log m)
+    over m distinct values.
     """
     if nbins < 1:
         raise ValueError("nbins must be >= 1")
@@ -251,13 +254,23 @@ def bin_numeric_attribute(
     dp = [[inf] * (m + 1) for _ in range(nbins + 1)]
     dp[0][0] = 0.0
     for b in range(1, nbins + 1):
+        prev, row = dp[b - 1], dp[b]
         for j in range(b, m - (nbins - b) + 1):
-            best = inf
-            for i in range(b - 1, j):
-                cand = max(dp[b - 1][i], prefix[j] - prefix[i])
-                if cand < best:
-                    best = cand
-            dp[b][j] = best
+            # min over i of max(prev[i], prefix[j] - prefix[i]): prev rises
+            # with i and the last bin's weight falls, so the best split is
+            # the first i where prev[i] >= prefix[j] - prefix[i], or the one
+            # before it.
+            lo, hi = b - 1, j
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if prev[mid] >= prefix[j] - prefix[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            best = prev[lo] if lo < j else inf
+            if lo > b - 1:
+                best = min(best, prefix[j] - prefix[lo - 1])
+            row[j] = best
     cap = dp[nbins][m]
 
     # Canonical split: greedily fill each bin up to the optimal cap, keeping

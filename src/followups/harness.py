@@ -136,7 +136,8 @@ def prepare_bins(
 ) -> list[BinSpec]:
     """Equi-depth bin specs for every declared numeric attribute, weighted by
     global followup mass (cells carried by each entity). nbins is clamped to
-    the number of distinct values so sparse attributes stay usable."""
+    the number of distinct values so sparse attributes stay usable. A
+    declared numeric attribute with no values is a ConfigError."""
     specs = []
     for table, weights in ((action_attrs, stats.action_cells), (user_attrs, stats.follower_cells)):
         for attribute in sorted(table.numeric):
@@ -146,7 +147,7 @@ def prepare_bins(
                 if table.numeric_value(entity, attribute) is not None
             ]
             if not values:
-                continue
+                raise ConfigError(f"numeric attribute {attribute!r} of the {table.dimension} table has no values")
             distinct = len({v for _, v in values})
             specs.append(bin_numeric_attribute(attribute, values, weights, min(nbins, distinct)))
     return specs

@@ -92,7 +92,7 @@ class ActionLog:
                 times[user] = time
         self.actions = tuple(sorted(earliest))
         by_time = itemgetter(1, 0)
-        self._by_action = {a: tuple(sorted(earliest[a].items(), key=by_time)) for a in self.actions}
+        self._by_action = {a: tuple(sorted(earliest.pop(a).items(), key=by_time)) for a in self.actions}
 
     def __len__(self) -> int:
         return sum(len(rs) for rs in self._by_action.values())

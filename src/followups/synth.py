@@ -70,45 +70,53 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
-@dataclass
-class SynthDataset:
-    arcs: list[tuple[int, int]]
-    log_rows: list[tuple[int, str, int]]
-    user_attr_rows: list[tuple[int, str, str]]
-    action_attr_rows: list[tuple[str, str, str]]
-
-
 def _zipf_weights(n: int, skew: float) -> list[float]:
     return [(i + 1) ** -skew for i in range(n)]
 
 
-def generate(config: SynthConfig) -> SynthDataset:
+def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
+    """Generate graph.tsv, actions.tsv, users.attrs.tsv and actions.attrs.tsv
+    under `out_dir`, writing each row as it is drawn."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stamp = (
+        f"# {GENERATOR_VERSION} seed={config.seed} users={config.users} "
+        f"actions={config.actions} hubs={config.hubs}\n"
+    )
+    paths = {
+        "graph": out / "graph.tsv",
+        "actions": out / "actions.tsv",
+        "user_attrs": out / "users.attrs.tsv",
+        "action_attrs": out / "actions.attrs.tsv",
+    }
     rng = random.Random(config.seed)
-    users = list(range(1, config.users + 1))
+    users = range(1, config.users + 1)
     hubs = users[: config.hubs]
     genres = [f"genre{i:02d}" for i in range(config.genres)]
 
     # --- user attributes and latent tastes -------------------------------
-    gender: dict[int, str | None] = {}
-    age: dict[int, int] = {}
     tastes: dict[int, set[str]] = {}
     genre_pop = _zipf_weights(config.genres, config.genre_skew)
-    for u in users:
-        gender[u] = None if rng.random() < 0.03 else rng.choice(GENDERS)
-        age[u] = int(rng.triangular(14, 75, 26))
-        bias = []
-        for i in range(config.genres):
-            if gender[u] == "female":
-                b = config.taste_bias if i < config.genres * 0.6 else 1.0 / config.taste_bias
-            elif gender[u] == "male":
-                b = config.taste_bias if i >= config.genres * 0.4 else 1.0 / config.taste_bias
-            else:
-                b = 1.0
-            bias.append(b * genre_pop[i])
-        first = rng.choices(range(config.genres), weights=bias)[0]
-        rest = [i for i in range(config.genres) if i != first]
-        second = rng.choices(rest, weights=[bias[i] for i in rest])[0]
-        tastes[u] = {genres[first], genres[second]}
+    with paths["user_attrs"].open("w", encoding="utf-8") as fh:
+        fh.write(stamp + "#numeric: age\n")
+        for u in users:
+            gender = None if rng.random() < 0.03 else rng.choice(GENDERS)
+            if gender is not None:
+                fh.write(f"{u}\tgender\t{gender}\n")
+            fh.write(f"{u}\tage\t{int(rng.triangular(14, 75, 26))}\n")
+            bias = []
+            for i in range(config.genres):
+                if gender == "female":
+                    b = config.taste_bias if i < config.genres * 0.6 else 1.0 / config.taste_bias
+                elif gender == "male":
+                    b = config.taste_bias if i >= config.genres * 0.4 else 1.0 / config.taste_bias
+                else:
+                    b = 1.0
+                bias.append(b * genre_pop[i])
+            first = rng.choices(range(config.genres), weights=bias)[0]
+            rest = [i for i in range(config.genres) if i != first]
+            second = rng.choices(rest, weights=[bias[i] for i in rest])[0]
+            tastes[u] = {genres[first], genres[second]}
 
     # --- follow arcs: arc (u, v) means v follows u ------------------------
     followers: dict[int, set[int]] = {u: set() for u in users}
@@ -127,98 +135,54 @@ def generate(config: SynthConfig) -> SynthDataset:
             w = rng.choice(users)
             if w != u:
                 followers[w].add(u)
-
-    # --- actions: attributes, initiator, cascade --------------------------
-    action_attr_rows: list[tuple[str, str, str]] = []
-    log_rows: list[tuple[int, str, int]] = []
-    hub_activity = _zipf_weights(config.hubs, config.activity_skew)
-    for idx in range(config.actions):
-        action = f"m{idx:05d}"
-        primary = genres[rng.choices(range(config.genres), weights=genre_pop)[0]]
-        action_genres = [primary]
-        if rng.random() < config.multi_genre_p:
-            extra = rng.choice([g for g in genres if g != primary])
-            action_genres.append(extra)
-        year = 1985 + int(30 * rng.random() ** 0.7)
-        rating = round(min(10.0, max(1.0, rng.gauss(6.5, 1.5))), 1)
-        length = rng.choices(LENGTHS, weights=(0.25, 0.5, 0.25))[0]
-        maturity = rng.choices(MATURITY, weights=(4, 10, 18, 52, 4, 12))[0]
-        director = f"d{rng.randrange(config.directors) + 1:03d}"
-        writer = f"w{rng.randrange(config.writers) + 1:03d}"
-        for g in action_genres:
-            action_attr_rows.append((action, "genre", g))
-        action_attr_rows.append((action, "year", str(year)))
-        action_attr_rows.append((action, "rating", str(rating)))
-        action_attr_rows.append((action, "length", length))
-        action_attr_rows.append((action, "maturity", maturity))
-        action_attr_rows.append((action, "director", director))
-        action_attr_rows.append((action, "writer", writer))
-
-        initiator = hubs[rng.choices(range(config.hubs), weights=hub_activity)[0]]
-        performed: dict[int, int] = {initiator: 0}
-        frontier: list[tuple[int, int, int]] = [(initiator, 0, 0)]
-        while frontier:
-            u, t, hops = frontier.pop(0)
-            if hops >= config.max_hops:
-                continue
-            for v in sorted(followers[u]):
-                if v in performed:
-                    continue
-                match = bool(tastes[v] & set(action_genres))
-                p = config.cascade_boost if match else config.cascade_base
-                if rng.random() < p:
-                    tv = t + rng.randint(1, 4)
-                    performed[v] = tv
-                    frontier.append((v, tv, hops + 1))
-        for _ in range(config.noise_performers):
-            v = rng.choice(users)
-            if v not in performed:
-                performed[v] = rng.randint(0, 40)
-        for v, t in sorted(performed.items(), key=lambda it: (it[1], it[0])):
-            log_rows.append((v, action, t))
-
-    user_attr_rows: list[tuple[int, str, str]] = []
-    for u in users:
-        if gender[u] is not None:
-            user_attr_rows.append((u, "gender", gender[u]))
-        user_attr_rows.append((u, "age", str(age[u])))
-
-    arcs = sorted((u, v) for u, vs in followers.items() for v in vs)
-    return SynthDataset(arcs, log_rows, user_attr_rows, action_attr_rows)
-
-
-def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
-    """Generate and write graph.tsv, actions.tsv, users.attrs.tsv and
-    actions.attrs.tsv under `out_dir`."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data = generate(config)
-    stamp = (
-        f"# {GENERATOR_VERSION} seed={config.seed} users={config.users} "
-        f"actions={config.actions} hubs={config.hubs}\n"
-    )
-    paths = {
-        "graph": out / "graph.tsv",
-        "actions": out / "actions.tsv",
-        "user_attrs": out / "users.attrs.tsv",
-        "action_attrs": out / "actions.attrs.tsv",
-    }
     with paths["graph"].open("w", encoding="utf-8") as fh:
         fh.write(stamp)
-        for u, v in data.arcs:
-            fh.write(f"{u}\t{v}\n")
-    with paths["actions"].open("w", encoding="utf-8") as fh:
-        fh.write(stamp)
-        for u, a, t in data.log_rows:
-            fh.write(f"{u}\t{a}\t{t}\n")
-    with paths["user_attrs"].open("w", encoding="utf-8") as fh:
-        fh.write(stamp)
-        fh.write("#numeric: age\n")
-        for u, attr, value in data.user_attr_rows:
-            fh.write(f"{u}\t{attr}\t{value}\n")
-    with paths["action_attrs"].open("w", encoding="utf-8") as fh:
-        fh.write(stamp)
-        fh.write("#numeric: year,rating\n")
-        for a, attr, value in data.action_attr_rows:
-            fh.write(f"{a}\t{attr}\t{value}\n")
+        for u in users:
+            for v in sorted(followers[u]):
+                fh.write(f"{u}\t{v}\n")
+
+    # --- actions: attributes, initiator, cascade --------------------------
+    hub_activity = _zipf_weights(config.hubs, config.activity_skew)
+    with paths["actions"].open("w", encoding="utf-8") as log, \
+            paths["action_attrs"].open("w", encoding="utf-8") as fh:
+        log.write(stamp)
+        fh.write(stamp + "#numeric: year,rating\n")
+        for idx in range(config.actions):
+            action = f"m{idx:05d}"
+            primary = genres[rng.choices(range(config.genres), weights=genre_pop)[0]]
+            action_genres = [primary]
+            if rng.random() < config.multi_genre_p:
+                action_genres.append(rng.choice([g for g in genres if g != primary]))
+            attrs = [("genre", g) for g in action_genres]
+            attrs.append(("year", 1985 + int(30 * rng.random() ** 0.7)))
+            attrs.append(("rating", round(min(10.0, max(1.0, rng.gauss(6.5, 1.5))), 1)))
+            attrs.append(("length", rng.choices(LENGTHS, weights=(0.25, 0.5, 0.25))[0]))
+            attrs.append(("maturity", rng.choices(MATURITY, weights=(4, 10, 18, 52, 4, 12))[0]))
+            attrs.append(("director", f"d{rng.randrange(config.directors) + 1:03d}"))
+            attrs.append(("writer", f"w{rng.randrange(config.writers) + 1:03d}"))
+            for attr, value in attrs:
+                fh.write(f"{action}\t{attr}\t{value}\n")
+
+            initiator = hubs[rng.choices(range(config.hubs), weights=hub_activity)[0]]
+            performed: dict[int, int] = {initiator: 0}
+            frontier: list[tuple[int, int, int]] = [(initiator, 0, 0)]
+            while frontier:
+                u, t, hops = frontier.pop(0)
+                if hops >= config.max_hops:
+                    continue
+                for v in sorted(followers[u]):
+                    if v in performed:
+                        continue
+                    match = bool(tastes[v] & set(action_genres))
+                    p = config.cascade_boost if match else config.cascade_base
+                    if rng.random() < p:
+                        tv = t + rng.randint(1, 4)
+                        performed[v] = tv
+                        frontier.append((v, tv, hops + 1))
+            for _ in range(config.noise_performers):
+                v = rng.choice(users)
+                if v not in performed:
+                    performed[v] = rng.randint(0, 40)
+            for v, t in sorted(performed.items(), key=lambda it: (it[1], it[0])):
+                log.write(f"{v}\t{action}\t{t}\n")
     return paths

@@ -1,9 +1,9 @@
 """Shared helpers: hand-buildable indexes, seeded random instances, and the
 simple oracles the optimised layers are checked against: the per-line graph
 parser, the per-row action log parser, the per-line attribute table loader,
-the per-cell propagation pass, the per-cell index build and `annotate`, the
-per-draw weighted sampling scan, the per-value sweep, and the pipeline
-composed of those oracles alone."""
+the per-cell propagation pass, the quadratic minimax binning DP, the
+per-cell index build and `annotate`, the per-draw weighted sampling scan, the
+per-value sweep, and the pipeline composed of those oracles alone."""
 from __future__ import annotations
 
 import json
@@ -20,9 +20,11 @@ from followups.featurization import (
     TARGET_FOLLOWER,
     USER,
     AttributeTable,
+    BinSpec,
     PredicateCatalog,
     PredicateIndex,
     build_predicate_index,
+    default_bin_labels,
 )
 from followups.ingestion import (
     Cell,
@@ -182,6 +184,47 @@ def reference_followup_stats(graph, log, max_delay=None) -> FollowupStats:
                 influencer_counts[nodes[low.bit_length() - 1]] += 1
                 sources ^= low
     return FollowupStats(dict(influencer_counts), dict(action_cells), dict(follower_cells), dags)
+
+
+def reference_bin_numeric_attribute(attribute, values, weights, nbins) -> BinSpec:
+    """Equi-depth minimax bins by the full DP: every split i < j is scanned
+    for each (bin count, prefix length), O(nbins·m²)."""
+    if nbins < 1:
+        raise ValueError("nbins must be >= 1")
+    mass: dict[float, float] = {}
+    for entity, value in values:
+        mass[float(value)] = mass.get(float(value), 0.0) + weights.get(entity, 0)
+    distinct = sorted(mass)
+    m = len(distinct)
+    if m == 0:
+        raise ValueError(f"no values for attribute {attribute!r}")
+    if nbins > m:
+        raise ValueError(f"nbins={nbins} exceeds {m} distinct values of {attribute!r}")
+    prefix = [0.0]
+    for v in distinct:
+        prefix.append(prefix[-1] + mass[v])
+    inf = float("inf")
+    dp = [[inf] * (m + 1) for _ in range(nbins + 1)]
+    dp[0][0] = 0.0
+    for b in range(1, nbins + 1):
+        for j in range(b, m - (nbins - b) + 1):
+            best = inf
+            for i in range(b - 1, j):
+                cand = max(dp[b - 1][i], prefix[j] - prefix[i])
+                if cand < best:
+                    best = cand
+            dp[b][j] = best
+    cap = dp[nbins][m]
+    boundaries: list[float] = []
+    i = 0
+    for b in range(nbins - 1):
+        j_max = m - (nbins - 1 - b)
+        j = i + 1
+        while j < j_max and prefix[j + 1] - prefix[i] <= cap:
+            j += 1
+        boundaries.append(distinct[j - 1])
+        i = j
+    return BinSpec(attribute, tuple(boundaries), default_bin_labels(tuple(boundaries)))
 
 
 def reference_sweep(config, axis, values, algos) -> harness.SweepResult:

@@ -218,6 +218,19 @@ def test_numeric_attribute_of_both_tables_is_config_error(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+def test_declared_numeric_attribute_without_values_is_named(tmp_path, capsys):
+    """Binning says which declared attribute has no rows; no --bins is given,
+    so the catalog's missing-bin-spec message would mislead."""
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text("#numeric: age,income\n2\tage\t30\n3\tage\t40\n")
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert "numeric attribute 'income' of the user table has no values" in err
+    assert "bin spec" not in err
+    assert not list(out.glob("*"))
+
+
 def test_bins_file_repeating_an_attribute_is_config_error(tmp_path, capsys):
     files = write_chain(tmp_path)
     files["user_attrs"].write_text("#numeric: age\n2\tage\t30\n3\tage\t40\n")

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import io
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from conftest import postings_of, reference_predicate_index
+from conftest import postings_of, reference_bin_numeric_attribute, reference_predicate_index
 
 from followups.errors import ConfigError, ParseError
 from followups.featurization import (
@@ -133,6 +134,41 @@ def test_bin_minimax_matches_exhaustive_search(seed):
     per_value = [float(weights[i]) for i in range(m)]
     assert max(bin_weights) == minimax_by_exhaustion(per_value, nbins)
     assert sum(bin_weights) == sum(per_value)  # conservation
+
+
+def random_binning_instance(rng: random.Random):
+    """Values with repeats (ints or floats), weights that may be floats,
+    zero or tied, and any feasible bin count."""
+    n = rng.randint(1, 80)
+    span = rng.choice([3, 20, 1000])
+    if rng.random() < 0.5:
+        values = [(i, rng.randrange(span)) for i in range(n)]
+    else:
+        values = [(i, round(rng.uniform(0, span), rng.choice([0, 1, 3]))) for i in range(n)]
+    if rng.random() < 0.5:
+        weights = {i: rng.choice([0, 0, 1, 1, 2, 5, 40]) for i in range(n)}
+    else:
+        weights = {i: rng.choice([0.0, 0.1, 0.3, rng.uniform(0, 10)]) for i in range(n) if rng.random() < 0.9}
+    distinct = len({float(v) for _, v in values})
+    return values, weights, rng.randint(1, min(distinct, 7))
+
+
+def test_bin_binary_search_equals_full_dp():
+    for seed in range(1000):
+        values, weights, nbins = random_binning_instance(random.Random(seed))
+        got = bin_numeric_attribute("x", values, weights, nbins)
+        want = reference_bin_numeric_attribute("x", values, weights, nbins)
+        assert (got.boundaries, got.labels) == (want.boundaries, want.labels), f"seed {seed}"
+
+
+def test_bin_many_distinct_values_is_fast():
+    rng = random.Random(5)
+    values = [(i, rng.random()) for i in range(5000)]
+    weights = {i: rng.randint(0, 30) for i in range(5000)}
+    t0 = time.perf_counter()
+    spec = bin_numeric_attribute("x", values, weights, 3)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(spec.boundaries) == 2
 
 
 def test_bin_spec_json_roundtrip():
