@@ -57,7 +57,12 @@ def _add_mining_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-l", type=int, default=3, help="min predicates per explanation")
     parser.add_argument("--top", type=int, default=100, help="number of top influencers to mine")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized algorithms")
-    parser.add_argument("--budget", type=int, default=None, help="node budget for the exhaustive search")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="node budget: nodes the exhaustive search may visit, and draws (k * l) the random baseline may make",
+    )
     parser.add_argument("--out", required=True, type=Path, help="output directory")
 
 
@@ -175,6 +180,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"bad sweep values {args.values!r}") from None
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    harness.check_sweep_args(config, args.axis, values, algos)
+    if "random" in algos:
+        k, l = (values[-1], config.l) if args.axis == "k" else (config.k, values[-1])
+        harness.require_random_draws(k, l, config.node_budget)
     result = harness.sweep(config, args.axis, values, algos)
     paths = harness.write_sweep_csv(result, config.out_dir, args.timing_out)
     for path in paths:

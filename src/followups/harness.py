@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import baselines, miner
-from .errors import ConfigError, FollowupsError, ParseError
+from .errors import ConfigError, FollowupsError, ParseError, ResourceLimitError
 from .featurization import (
     ACTION,
     TARGET_FOLLOWER,
@@ -90,9 +90,20 @@ class RunConfig:
         require_max_delay(self.max_delay)
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
+        if self.algo == "random":
+            require_random_draws(self.k, self.l, self.node_budget)
         for path in (self.graph, self.actions, self.user_attrs, self.action_attrs, self.bins):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"input file not found: {path}")
+
+
+def require_random_draws(k: int, l: int, node_budget: int) -> None:
+    """Refuse a random-baseline run of k explanations of l predicates each
+    whose k * l weighted draws exceed `node_budget`: a ResourceLimitError,
+    raised before the first draw. Its stream is endless, so nothing else
+    bounds its work."""
+    if k * l > node_budget:
+        raise ResourceLimitError(f"random baseline would make k * l = {k * l} draws, over node budget {node_budget}")
 
 
 def median(values: Sequence[float]):
@@ -320,6 +331,27 @@ def _sweep_runs(
         yield (union.bit_count() / index.n_cells if index.n_cells else 0.0), millis
 
 
+def check_sweep_args(config: RunConfig, axis: str, values: Sequence[int], algos: Sequence[str]) -> None:
+    """Raise the ConfigError of `sweep`'s arguments, if any, before any
+    input is read."""
+    if axis not in ("k", "l"):
+        raise ConfigError("sweep axis must be 'k' or 'l'")
+    if not values or any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be non-empty and strictly ascending")
+    if values[0] < 1:
+        raise ConfigError(f"sweep values must be >= 1, got {values[0]}")
+    if axis == "k" and values[-1] > sys.maxsize:
+        raise ConfigError(f"k must be <= {sys.maxsize}, got {values[-1]}")
+    if not algos:
+        raise ConfigError("sweep needs at least one algorithm")
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algo!r}")
+    if len(set(algos)) != len(algos):
+        raise ConfigError(f"sweep algorithms must not repeat, got {','.join(algos)}")
+    config.validate()
+
+
 def sweep(
     config: RunConfig,
     axis: str,
@@ -339,22 +371,7 @@ def sweep(
     algorithm, influencer) in that order: a failing run only stops the runs
     after it in that order.
     """
-    if axis not in ("k", "l"):
-        raise ConfigError("sweep axis must be 'k' or 'l'")
-    if not values or any(a >= b for a, b in zip(values, values[1:])):
-        raise ConfigError("sweep values must be non-empty and strictly ascending")
-    if values[0] < 1:
-        raise ConfigError(f"sweep values must be >= 1, got {values[0]}")
-    if axis == "k" and values[-1] > sys.maxsize:
-        raise ConfigError(f"k must be <= {sys.maxsize}, got {values[-1]}")
-    if not algos:
-        raise ConfigError("sweep needs at least one algorithm")
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    if len(set(algos)) != len(algos):
-        raise ConfigError(f"sweep algorithms must not repeat, got {','.join(algos)}")
-    config.validate()
+    check_sweep_args(config, axis, values, algos)
     top = list(_top_indexes(config)[1])
     indexes = [index for _, _, index in top]
     _require_indexes(indexes)

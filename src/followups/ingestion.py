@@ -8,7 +8,13 @@ arcs.
 `parse_action_log` checks each line and hands plain (user, action, time)
 tuples to `ActionLog`, the one place that keeps the earliest time of a
 repeated (user, action) pair. It indexes its rows by action alone, since
-every DAG and every followup set is built one action at a time.
+every DAG and every followup set is built one action at a time. Each
+action's rows are two `array('q')` columns, users and times, in (time,
+user) order: about 20 bytes a row, where a tuple of two ints took over
+100. Rows are appended to the columns as they are read. An action whose
+rows arrive strictly ascending in (time, user) keeps its columns as read,
+as every generated log's actions do; any other is sorted once. An action
+with a value outside the signed 64-bit range keeps lists of ints instead.
 
 An action's propagation DAG has one form: the flat tuple of its out-arcs,
 `(u, successors of u, u, successors of u, ...)` over its arc sources in
@@ -29,6 +35,7 @@ tested against.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from itertools import chain, groupby
 from operator import itemgetter, lt
@@ -79,32 +86,62 @@ class ActionLog:
     """The action log, one row per (user, action) pair.
 
     Built from (user, action, time) tuples; when a pair repeats, its
-    earliest time wins. Rows are indexed by action only.
+    earliest time wins. Rows are indexed by action only: each action holds
+    two columns, its users and their times, in (time, user) order. The
+    columns are `array('q')`s, 8 bytes a value, and the rows are appended to
+    them as they are read. An action whose rows arrive strictly ascending in
+    (time, user), each user once, keeps its columns as read; any other is
+    sorted once and keeps each user's earliest row. An action with a value
+    outside the signed 64-bit range keeps lists instead.
     """
 
     def __init__(self, records: Iterable[tuple[int, str, int]]):
-        earliest: dict[str, dict[int, int]] = {}
+        columns: dict[str, tuple] = {}
         for user, action, time in records:
-            times = earliest.get(action)
-            if times is None:
-                earliest[action] = {user: time}
-            elif time < times.get(user, time + 1):
-                times[user] = time
-        self.actions = tuple(sorted(earliest))
-        by_time = itemgetter(1, 0)
-        self._by_action = {a: tuple(sorted(earliest.pop(a).items(), key=by_time)) for a in self.actions}
+            users_times = columns.get(action)
+            if users_times is None:
+                users_times = columns[action] = (array("q"), array("q"))
+            try:
+                users_times[0].append(user)
+                users_times[1].append(time)
+            except OverflowError:
+                users, times = users_times
+                columns[action] = ([*users[: len(times)], user], [*times, time])
+        self.actions = tuple(sorted(columns))
+        self._columns = {a: _earliest_rows(*columns.pop(a)) for a in self.actions}
 
     def __len__(self) -> int:
-        return sum(len(rs) for rs in self._by_action.values())
+        return sum(len(users) for users, _ in self._columns.values())
 
     def performers(self, action: str) -> tuple[tuple[int, int], ...]:
         """(user, time) pairs for `action`, sorted by (time, user)."""
-        return self._by_action.get(action, ())
+        users_times = self._columns.get(action)
+        return tuple(zip(*users_times)) if users_times else ()
 
     def actions_of(self, user: int) -> tuple[str, ...]:
         """Action ids performed by `user`, ascending, by a scan of the log."""
-        user_of = itemgetter(0)
-        return tuple(a for a, rows in self._by_action.items() if user in map(user_of, rows))
+        return tuple(a for a, (users, _) in self._columns.items() if user in users)
+
+
+def _earliest_rows(users: Sequence[int], times: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """One action's columns in (time, user) order with each user once, at
+    their earliest time. Columns already in that order are returned as
+    they are."""
+    if len(set(users)) == len(users) and all(map(lt, zip(times, users), zip(times[1:], users[1:]))):
+        return users, times
+    seen: set[int] = set()
+    rows = [(t, u) for t, u in sorted(zip(times, users)) if u not in seen and not seen.add(u)]
+    sorted_times, sorted_users = zip(*rows)
+    return _column(sorted_users), _column(sorted_times)
+
+
+def _column(values: Sequence[int]) -> Sequence[int]:
+    """`values` as an `array('q')`, or as a list when one of them is outside
+    the signed 64-bit range."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)
 
 
 class FollowupSet:
@@ -426,9 +463,8 @@ def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tu
         raise ValueError("duplicate influencer")
     performed: dict[int, list[str]] = {u: [] for u in order}
     runs: dict[int, list[tuple[str, tuple[int, ...]]]] = {u: [] for u in order}
-    user_of = itemgetter(0)
-    for action in log.actions:
-        doers = listed.intersection(map(user_of, log.performers(action)))
+    for action, (users, _) in log._columns.items():  # `log.actions`, in order, with their user columns
+        doers = listed.intersection(users)
         for u in doers:
             performed[u].append(action)
         if doers and action in arcs:

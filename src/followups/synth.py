@@ -119,7 +119,7 @@ def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
             tastes[u] = {genres[first], genres[second]}
 
     # --- follow arcs: arc (u, v) means v follows u ------------------------
-    followers: dict[int, set[int]] = {u: set() for u in users}
+    followers: dict[int, set[int] | tuple[int, ...]] = {u: set() for u in users}
     for rank, hub in enumerate(hubs, start=1):
         n_foll = max(5, int(config.users * config.follower_base * rank ** -config.follower_skew))
         pool = [u for u in users if u != hub]
@@ -138,7 +138,8 @@ def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     with paths["graph"].open("w", encoding="utf-8") as fh:
         fh.write(stamp)
         for u in users:
-            for v in sorted(followers[u]):
+            followers[u] = tuple(sorted(followers[u]))  # the cascades walk them in this order
+            for v in followers[u]:
                 fh.write(f"{u}\t{v}\n")
 
     # --- actions: attributes, initiator, cascade --------------------------
@@ -153,6 +154,7 @@ def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
             action_genres = [primary]
             if rng.random() < config.multi_genre_p:
                 action_genres.append(rng.choice([g for g in genres if g != primary]))
+            genre_set = set(action_genres)
             attrs = [("genre", g) for g in action_genres]
             attrs.append(("year", 1985 + int(30 * rng.random() ** 0.7)))
             attrs.append(("rating", round(min(10.0, max(1.0, rng.gauss(6.5, 1.5))), 1)))
@@ -170,10 +172,10 @@ def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
                 u, t, hops = frontier.pop(0)
                 if hops >= config.max_hops:
                     continue
-                for v in sorted(followers[u]):
+                for v in followers[u]:
                     if v in performed:
                         continue
-                    match = bool(tastes[v] & set(action_genres))
+                    match = not tastes[v].isdisjoint(genre_set)
                     p = config.cascade_boost if match else config.cascade_base
                     if rng.random() < p:
                         tv = t + rng.randint(1, 4)

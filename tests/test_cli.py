@@ -9,7 +9,7 @@ import pytest
 
 from followups import harness
 from followups.cli import build_parser, main
-from followups.errors import ConfigError
+from followups.errors import ConfigError, ResourceLimitError
 from followups.synth import SynthConfig, write_dataset
 
 CHAIN_GRAPH = "1\t2\n2\t3\n"
@@ -326,6 +326,32 @@ def test_budget_below_one_is_config_error(tmp_path, capsys, monkeypatch, command
     assert code == 2
     assert "node budget must be >= 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("baseline", ["--algo", "random", "-k", "4"]),
+        ("sweep", ["--axis", "k", "--values", "1,4", "--algos", "greedy,random"]),
+        ("sweep", ["--axis", "l", "--values", "1,3", "--algos", "random", "-k", "4"]),
+    ],
+)
+def test_random_draws_over_budget_exit_3(tmp_path, capsys, monkeypatch, command, args):
+    """The random baseline's k * l draws over `--budget` stop the run before
+    any input is read or output written."""
+    files = write_chain(tmp_path)
+    out = tmp_path / "out"
+    refuse_input_loading(monkeypatch, "the random baseline's draws")
+    code, err = run_error([command, *attr_args(files), *args, "-l", "3", "--budget", "11", "--out", str(out)], capsys)
+    assert code == 3
+    assert err == "error: random baseline would make k * l = 12 draws, over node budget 11\n"
+    assert not out.exists()
+
+
+def test_random_draws_within_budget_are_allowed():
+    harness.require_random_draws(4, 3, 12)
+    with pytest.raises(ResourceLimitError, match="k \\* l = 12"):
+        harness.require_random_draws(4, 3, 11)
 
 
 @pytest.mark.parametrize("text", ["", "not json {"])

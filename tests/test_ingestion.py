@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -111,6 +113,100 @@ def test_lazy_user_index_equals_performers(seed):
 
 def test_parse_log_empty():
     assert len(log_of("")) == 0
+
+
+# Values the log must hold: sparse, negative, above 2**31, and beyond the
+# signed 64-bit range that its compact columns store.
+SMALL_IDS = (-7, -1, 0, 1, 2, 3, 10, 999_983, 2**31 - 1, 2**31, 2**31 + 5, 2**62)
+BIG_VALUES = (2**63, 2**63 + 9, 2**100, -(2**63) - 1, 10**40)
+
+
+def random_action_rows(rng: random.Random, big: bool) -> list[tuple[int, int]]:
+    """One action's (user, time) rows: in (time, user) order with each user
+    once, shuffled, or with repeated users and repeated pairs."""
+    ids = list(SMALL_IDS) + [rng.randint(-(2**40), 2**40) for _ in range(4)]
+    users = rng.sample(ids, rng.randint(1, 8))
+    rows = sorted(((u, rng.randint(0, 6)) for u in users), key=lambda r: (r[1], r[0]))
+    roll = rng.random()
+    if roll < 0.3:
+        rng.shuffle(rows)
+    elif roll < 0.6:
+        rows += [(u, t + rng.randint(-2, 2)) for u, t in rng.choices(rows, k=rng.randint(1, 4))]
+        rows += rng.choices(rows, k=rng.randint(0, 2))  # repeated (user, time) pairs
+        rng.shuffle(rows)
+    if big:
+        i = rng.randrange(len(rows))
+        u, t = rows[i]
+        rows[i] = (rng.choice(BIG_VALUES), t) if rng.random() < 0.5 else (u, 2**63 + rng.randint(0, 5))
+    return rows
+
+
+def random_log_records(rng: random.Random) -> list[tuple[int, str, int]]:
+    """Records of a few actions, interleaved, each action's rows in their
+    drawn order."""
+    per_action = {f"a{i}": random_action_rows(rng, rng.random() < 0.2) for i in range(rng.randint(0, 6))}
+    labels = [a for a, rows in per_action.items() for _ in rows]
+    rng.shuffle(labels)
+    pending = {a: iter(rows) for a, rows in per_action.items()}
+    return [(u, a, t) for a in labels for u, t in [next(pending[a])]]
+
+
+def test_action_log_matches_reference_log(monkeypatch):
+    """`ActionLog` against `conftest.ReferenceLog` on seeded records; each
+    of its three ways to finish an action runs at least 20 times."""
+    from conftest import ReferenceLog
+
+    from followups import ingestion
+
+    finish = ingestion._earliest_rows
+    paths = Counter()
+
+    def counted(users, times):
+        rows = finish(users, times)
+        paths["in-order" if rows[0] is users else "sorted"] += 1
+        paths["big-int"] += isinstance(users, list)
+        return rows
+
+    monkeypatch.setattr(ingestion, "_earliest_rows", counted)
+    for seed in range(300):
+        rng = random.Random(seed)
+        records = random_log_records(rng)
+        earliest: dict[tuple[int, str], int] = {}
+        for user, action, time in records:
+            if (user, action) not in earliest or time < earliest[user, action]:
+                earliest[user, action] = time
+        log, ref = ActionLog(records), ReferenceLog(earliest)
+        assert len(log) == len(ref), seed
+        assert log.actions == ref.actions, seed
+        for action in ref.actions + ("absent",):
+            assert log.performers(action) == ref.performers(action), (seed, action)
+        for user in {u for u, _ in earliest} | {12345, -(2**70)}:
+            assert log.actions_of(user) == ref.actions_of(user), (seed, user)
+    assert min(paths["in-order"], paths["sorted"], paths["big-int"]) >= 20, paths
+    empty = ActionLog([])
+    assert (len(empty), empty.actions, empty.performers("a"), empty.actions_of(1)) == (0, (), (), ())
+
+
+def test_parse_action_log_memory_per_row():
+    """The parsed log holds about two 8-byte values a row: under 40 bytes a
+    row at its peak over 40,000 rows in 100 actions, some in (time, user)
+    order and some shuffled."""
+    rng = random.Random(5)
+    lines = []
+    for a in range(100):
+        rows = sorted((rng.randint(0, 5_000), u) for u in rng.sample(range(10**9), 400))
+        if a % 2:
+            rng.shuffle(rows)
+        lines += [f"{u}\ta{a:03d}\t{t}\n" for t, u in rows]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        log = parse_action_log(lines)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 40_000
+    assert peak / len(lines) < 40, peak / len(lines)
 
 
 def test_parse_log_errors():
