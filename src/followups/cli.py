@@ -2,6 +2,11 @@
 
 Subcommands: gen, rank, histogram, mine, baseline, sweep, render.
 Exit codes: 0 success, 2 parse/config error, 3 resource-guard error.
+
+Each option that sets a `harness.RunConfig` field (or, for `gen`, a
+`synth.SynthConfig` field) has that field's name as its `dest` and no
+default: an option left out is absent from the parsed namespace, so the
+dataclass's default and checks are the only ones.
 """
 from __future__ import annotations
 
@@ -12,80 +17,66 @@ import math
 import sys
 from pathlib import Path
 
-from . import harness, synth
+from . import harness
 from .errors import ConfigError, FollowupsError, ParseError, ResourceLimitError
 from .featurization import TARGET_FOLLOWER, TARGET_INFLUENCER
-from .ingestion import require_max_delay, require_top_n
 
-# `SynthConfig` fields `gen` exposes as options; their defaults are the
-# dataclass's, so `gen` and `write_dataset(SynthConfig(...))` agree.
-_GEN_FIELDS = (
-    "users",
-    "actions",
-    "seed",
-    "hubs",
-    "genres",
-    "directors",
-    "writers",
-    "follower_base",
-    "follower_skew",
-    "activity_skew",
-    "cascade_base",
-    "cascade_boost",
-)
+# `SynthConfig` fields `gen` exposes as options, each with the type of its
+# default. `synth` is imported by `gen` alone.
+_GEN_OPTIONS = {
+    "users": int,
+    "actions": int,
+    "seed": int,
+    "hubs": int,
+    "genres": int,
+    "directors": int,
+    "writers": int,
+    "follower_base": float,
+    "follower_skew": float,
+    "activity_skew": float,
+    "cascade_base": float,
+    "cascade_boost": float,
+}
 
 
 def _add_input_args(parser: argparse.ArgumentParser, attrs: bool) -> None:
     parser.add_argument("--graph", required=True, type=Path, help="social graph TSV (u<TAB>v, v follows u)")
     parser.add_argument("--actions", required=True, type=Path, help="action log TSV (user<TAB>action<TAB>time)")
-    parser.add_argument("--max-delay", type=int, default=None, help="max propagation delay per arc (default: unbounded)")
+    parser.add_argument("--max-delay", type=int, help="max propagation delay per arc (default: unbounded)")
     if attrs:
-        parser.add_argument("--user-attrs", type=Path, default=None, help="user attribute TSV")
-        parser.add_argument("--action-attrs", type=Path, default=None, help="action attribute TSV")
-        parser.add_argument("--bins", type=Path, default=None, help="bin-spec JSON (default: equi-depth bins computed from the data)")
-        parser.add_argument("--nbins", type=int, default=3, help="bins per numeric attribute when computing bins")
+        parser.add_argument("--user-attrs", type=Path, help="user attribute TSV")
+        parser.add_argument("--action-attrs", type=Path, help="action attribute TSV")
+        parser.add_argument("--bins", type=Path, help="bin-spec JSON (default: equi-depth bins computed from the data)")
+        parser.add_argument("--nbins", type=int, help="bins per numeric attribute when computing bins")
         parser.add_argument(
             "--user-predicate-target",
+            dest="target",
             choices=(TARGET_FOLLOWER, TARGET_INFLUENCER),
-            default=TARGET_FOLLOWER,
             help="entity user predicates are evaluated on",
         )
 
 
 def _add_mining_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-k", type=int, default=6, help="max number of explanations")
-    parser.add_argument("-l", type=int, default=3, help="min predicates per explanation")
-    parser.add_argument("--top", type=int, default=100, help="number of top influencers to mine")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized algorithms")
+    parser.add_argument("-k", type=int, help="max number of explanations")
+    parser.add_argument("-l", type=int, help="min predicates per explanation")
+    parser.add_argument("--top", dest="top_n", type=int, help="number of top influencers to mine")
+    parser.add_argument("--seed", type=int, help="seed for randomized algorithms")
     parser.add_argument(
         "--budget",
+        dest="node_budget",
         type=int,
-        default=None,
         help="node budget: nodes the exhaustive search may visit, and draws (k * l) the random baseline may make",
     )
-    parser.add_argument("--out", required=True, type=Path, help="output directory")
+    parser.add_argument("--out", dest="out_dir", required=True, type=Path, help="output directory")
 
 
-def _config_from_args(args: argparse.Namespace, algo: str) -> harness.RunConfig:
-    config = harness.RunConfig(
-        graph=args.graph,
-        actions=args.actions,
-        user_attrs=args.user_attrs,
-        action_attrs=args.action_attrs,
-        bins=args.bins,
-        nbins=args.nbins,
-        algo=algo,
-        k=args.k,
-        l=args.l,
-        top_n=args.top,
-        seed=args.seed,
-        max_delay=args.max_delay,
-        target=args.user_predicate_target,
-        out_dir=args.out,
-    )
-    if args.budget is not None:
-        config.node_budget = args.budget
-    return config
+def _given(args: argparse.Namespace, names) -> dict:
+    """The parsed options whose `dest` is in `names`: those on the command line."""
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
+def _config_from_args(args: argparse.Namespace) -> harness.RunConfig:
+    return harness.RunConfig(**_given(args, {f.name for f in dataclasses.fields(harness.RunConfig)}))
 
 
 def _write_or_print(text: str, out: Path | None) -> None:
@@ -100,33 +91,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="followups", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a seeded synthetic dataset")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        """A subcommand whose options without a `default=` are absent when not given."""
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("gen", "generate a seeded synthetic dataset")
     p.add_argument("--out", required=True, type=Path)
-    defaults = {f.name: f.default for f in dataclasses.fields(synth.SynthConfig)}
-    for name in _GEN_FIELDS:
-        default = defaults[name]
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    for name, type_ in _GEN_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type_)
 
-    p = sub.add_parser("rank", help="rank influencers by followup count")
+    p = command("rank", "rank influencers by followup count")
     _add_input_args(p, attrs=False)
-    p.add_argument("--top", type=int, default=100)
+    p.add_argument("--top", dest="top_n", type=int, help="number of top influencers to list")
     p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("histogram", help="followup-frequency distribution CSV")
+    p = command("histogram", "followup-frequency distribution CSV")
     _add_input_args(p, attrs=False)
     p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("mine", help="mine explanations for the top influencers")
+    p = command("mine", "mine explanations for the top influencers")
     _add_input_args(p, attrs=True)
-    p.add_argument("--algo", choices=("greedy", "eager"), default="greedy")
+    p.add_argument("--algo", choices=("greedy", "eager"))
     _add_mining_args(p)
 
-    p = sub.add_parser("baseline", help="run a baseline algorithm")
+    p = command("baseline", "run a baseline algorithm")
     _add_input_args(p, attrs=True)
     p.add_argument("--algo", choices=("random", "most-popular", "exhaustive", "oracle"), required=True)
     _add_mining_args(p)
 
-    p = sub.add_parser("sweep", help="coverage sweep over k or l")
+    p = command("sweep", "coverage sweep over k or l")
     _add_input_args(p, attrs=True)
     p.add_argument("--axis", choices=("k", "l"), required=True)
     p.add_argument("--values", required=True, help="comma-separated strictly ascending axis values")
@@ -142,39 +135,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    config = synth.SynthConfig(**{name: getattr(args, name) for name in _GEN_FIELDS})
-    paths = synth.write_dataset(config, args.out)
+    from . import synth
+
+    paths = synth.write_dataset(synth.SynthConfig(**_given(args, _GEN_OPTIONS)), args.out)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    require_top_n(args.top)
-    require_max_delay(args.max_delay)
-    graph = harness.load_graph(args.graph)
-    log = harness.load_log(args.actions)
-    _write_or_print(harness.rank_csv(graph, log, args.top, args.max_delay), args.out)
+    config = _config_from_args(args)
+    config.validate()
+    graph, log = harness.load_graph(config.graph), harness.load_log(config.actions)
+    _write_or_print(harness.rank_csv(graph, log, config.top_n, config.max_delay), args.out)
     return 0
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
-    require_max_delay(args.max_delay)
-    graph = harness.load_graph(args.graph)
-    log = harness.load_log(args.actions)
-    _write_or_print(harness.histogram_csv(graph, log, args.max_delay), args.out)
+    config = _config_from_args(args)
+    config.validate()
+    graph, log = harness.load_graph(config.graph), harness.load_log(config.actions)
+    _write_or_print(harness.histogram_csv(graph, log, config.max_delay), args.out)
     return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, args.algo)
+    config = _config_from_args(args)
     result = harness.run_pipeline(config)
     print(f"wrote {len(result.written)} files to {config.out_dir}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, "greedy")
+    config = _config_from_args(args)
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

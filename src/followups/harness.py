@@ -41,8 +41,6 @@ from .ingestion import (
     parse_action_log,
     parse_social_graph,
     rank_influencers,
-    require_max_delay,
-    require_top_n,
 )
 
 # Each sequential algorithm by name, as the factory `(index, l, seed,
@@ -62,6 +60,9 @@ ALGORITHMS = (*_STREAMS, "oracle")
 
 @dataclass
 class RunConfig:
+    """One run's options. The CLI's defaults are these fields' defaults,
+    and `validate` is the one check of their domains."""
+
     graph: Path
     actions: Path
     user_attrs: Path | None = None
@@ -87,7 +88,9 @@ class RunConfig:
             raise ConfigError(f"nbins must be >= 1, got {self.nbins}")
         if self.node_budget < 1:
             raise ConfigError(f"node budget must be >= 1, got {self.node_budget}")
-        require_max_delay(self.max_delay)
+        if self.max_delay is not None and self.max_delay < 1:
+            # DAG arcs join strictly later performances, so such a delay would drop every arc
+            raise ConfigError(f"max_delay must be >= 1, got {self.max_delay}")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
         if self.algo == "random":
@@ -503,7 +506,6 @@ def histogram_csv(graph: SocialGraph, log: ActionLog, max_delay: int | None = No
 
 
 def rank_csv(graph: SocialGraph, log: ActionLog, top_n: int, max_delay: int | None = None) -> str:
-    require_top_n(top_n)
     rows = rank_influencers(influencer_followup_counts(graph, log, max_delay), top_n)
     return "rank,influencer,followups\n" + "".join(
         f"{i},{u},{c}\n" for i, (u, c) in enumerate(rows, start=1)

@@ -113,10 +113,14 @@ class ActionLog:
     def __len__(self) -> int:
         return sum(len(users) for users, _ in self._columns.values())
 
+    def columns(self, action: str) -> tuple[Sequence[int], Sequence[int]]:
+        """The users and times of `action`, in (time, user) order; two empty
+        columns for an action not in the log."""
+        return self._columns.get(action, ((), ()))
+
     def performers(self, action: str) -> tuple[tuple[int, int], ...]:
         """(user, time) pairs for `action`, sorted by (time, user)."""
-        users_times = self._columns.get(action)
-        return tuple(zip(*users_times)) if users_times else ()
+        return tuple(zip(*self.columns(action)))
 
     def actions_of(self, user: int) -> tuple[str, ...]:
         """Action ids performed by `user`, ascending, by a scan of the log."""
@@ -314,13 +318,13 @@ def build_propagation_graph(
     with an arc once, in the performers' (time, user) order, which is a
     topological order, and its successors in ascending id. Empty when the
     action has no arc."""
-    performers = log.performers(action)
-    if not performers:
+    users, times = log.columns(action)
+    if not users:
         raise NotFoundError(f"action {action!r} does not appear in the log")
-    time_of = dict(performers)
+    time_of = dict(zip(users, times))
     followers = graph._followers.get  # `graph.followers`, without a method call per performer
     arcs = []
-    for u, tu in performers:
+    for u, tu in zip(users, times):
         out = []
         for v in followers(u, ()):
             # Most followers did not perform the action: test that first.
@@ -463,8 +467,8 @@ def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tu
         raise ValueError("duplicate influencer")
     performed: dict[int, list[str]] = {u: [] for u in order}
     runs: dict[int, list[tuple[str, tuple[int, ...]]]] = {u: [] for u in order}
-    for action, (users, _) in log._columns.items():  # `log.actions`, in order, with their user columns
-        doers = listed.intersection(users)
+    for action in log.actions:
+        doers = listed.intersection(log.columns(action)[0])
         for u in doers:
             performed[u].append(action)
         if doers and action in arcs:
@@ -499,24 +503,12 @@ def _listed_reach(arcs: tuple, listed: set[int]) -> list[tuple[int, tuple[int, .
     return [(u, tuple(vs)) for u, vs in zip(sources, followers)]
 
 
-def require_top_n(top_n: int) -> None:
-    """Reject a top-N size below 1 with a ConfigError."""
-    if top_n < 1:
-        raise ConfigError(f"top_n must be >= 1, got {top_n}")
-
-
-def require_max_delay(max_delay: int | None) -> None:
-    """Reject a max delay below 1 with a ConfigError: DAG arcs join strictly
-    later performances, so such a delay would drop every arc."""
-    if max_delay is not None and max_delay < 1:
-        raise ConfigError(f"max_delay must be >= 1, got {max_delay}")
-
-
 def rank_influencers(counts: Mapping[int, int], top_n: int) -> list[tuple[int, int]]:
     """The `top_n` (influencer, followups) pairs of `counts` (a
     `FollowupStats.influencer_counts`), by count descending, ties by ascending
     user id. Users with zero followups are absent from `counts`."""
-    require_top_n(top_n)
+    if top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     return sorted(counts.items(), key=lambda it: (-it[1], it[0]))[:top_n]
 
 

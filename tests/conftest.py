@@ -55,6 +55,10 @@ class ReferenceLog:
     def __len__(self) -> int:
         return sum(len(rs) for rs in self._by_action.values())
 
+    def columns(self, action: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        rows = self._by_action.get(action)
+        return tuple(zip(*rows)) if rows else ((), ())
+
     def performers(self, action: str) -> tuple[tuple[int, int], ...]:
         return self._by_action.get(action, ())
 

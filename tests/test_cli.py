@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from followups import harness
-from followups.cli import build_parser, main
+from followups.cli import _config_from_args, build_parser, main
 from followups.errors import ConfigError, ResourceLimitError
 from followups.synth import SynthConfig, write_dataset
 
@@ -102,13 +106,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-def test_missing_file_exit_code(tmp_path, capsys):
-    code = main([
-        "rank", "--graph", str(tmp_path / "nope.tsv"),
-        "--actions", str(tmp_path / "nope2.tsv"), "--top", "1",
-    ])
-    capsys.readouterr()
-    assert code == 2
+def test_missing_file_exit_code(tmp_path, capsys, monkeypatch):
+    inputs = ["--graph", str(tmp_path / "nope.tsv"), "--actions", str(tmp_path / "nope2.tsv")]
+    refuse_input_loading(monkeypatch, "a missing input")
+    for argv in (["rank", *inputs, "--top", "1"], ["histogram", *inputs]):
+        code = main(argv)
+        assert capsys.readouterr().err == f"error: input file not found: {tmp_path / 'nope.tsv'}\n"
+        assert code == 2
 
 
 def test_resource_guard_exit_code(tmp_path, capsys):
@@ -137,6 +141,49 @@ def test_gen_defaults_match_synth_config(tmp_path, capsys):
     write_dataset(SynthConfig(seed=7), tmp_path / "lib")
     for name in ("graph.tsv", "actions.tsv", "users.attrs.tsv", "actions.attrs.tsv"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+
+def test_cli_import_does_not_load_the_generator():
+    """Only `gen` needs `synth`; the other commands do not pay for importing it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys, followups.cli; print('followups.synth' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout == "False\n"
+
+
+def test_option_defaults_are_the_config_defaults():
+    """An option left out takes its `RunConfig` default; `gen`'s options
+    have the types of their `SynthConfig` defaults."""
+    minimal = [
+        (["mine", "--out", "o"], {"out_dir": Path("o")}),
+        (["baseline", "--algo", "random", "--out", "o"], {"out_dir": Path("o"), "algo": "random"}),
+        (["sweep", "--axis", "k", "--values", "1", "--out", "o"], {"out_dir": Path("o")}),
+        (["rank"], {}),
+        (["histogram"], {}),
+    ]
+    for argv, given in minimal:
+        config = _config_from_args(build_parser().parse_args([*argv, "--graph", "g", "--actions", "a"]))
+        expected = harness.RunConfig(graph=Path("g"), actions=Path("a"), **given)
+        for f in dataclasses.fields(harness.RunConfig):
+            assert getattr(config, f.name) == getattr(expected, f.name), (argv[0], f.name)
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    synth_defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+    gen_options = [a for a in subparsers.choices["gen"]._actions if a.dest in synth_defaults]
+    assert len(gen_options) == 12
+    for action in gen_options:
+        assert action.type is type(synth_defaults[action.dest]), action.dest
+
+
+@pytest.mark.parametrize("command", ["gen", "rank", "histogram", "mine", "baseline", "sweep", "render"])
+def test_help_exits_cleanly(capsys, command):
+    """`%(default)s` in the help of an option without a default either
+    fails or prints argparse's `==SUPPRESS==` marker."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert command in out and "==SUPPRESS==" not in out + err
 
 
 def run_error(argv, capsys) -> tuple[int, str]:

@@ -180,6 +180,7 @@ def test_action_log_matches_reference_log(monkeypatch):
         assert log.actions == ref.actions, seed
         for action in ref.actions + ("absent",):
             assert log.performers(action) == ref.performers(action), (seed, action)
+            assert tuple(map(tuple, log.columns(action))) == ref.columns(action), (seed, action)
         for user in {u for u, _ in earliest} | {12345, -(2**70)}:
             assert log.actions_of(user) == ref.actions_of(user), (seed, user)
     assert min(paths["in-order"], paths["sorted"], paths["big-int"]) >= 20, paths
