@@ -220,6 +220,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     totals = ("total_followups", "total_coverage")
     _require_types(doc, totals, (int, float), "a number", "the document", args.input)
     _require_figures(doc, totals, "the document", args.input)
+    for key in totals:  # `render_table` takes their ratio as a float
+        try:
+            float(doc[key])
+        except OverflowError:
+            raise ParseError(f"{args.input}: the document: {key!r} is out of range") from None
     if not isinstance(doc["explanations"], list):
         raise ParseError(f"{args.input}: 'explanations' is not a list")
     for i, row in enumerate(doc["explanations"]):

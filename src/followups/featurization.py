@@ -159,7 +159,11 @@ class BinSpec:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not all(math.isfinite(b) for b in self.boundaries):
+        try:
+            finite = all(math.isfinite(b) for b in self.boundaries)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError("boundaries must be finite")
         if any(a >= b for a, b in zip(self.boundaries, self.boundaries[1:])):
             raise ValueError("boundaries must be strictly increasing")

@@ -28,17 +28,18 @@ influencers' followup sets from those kept arcs, so a run builds each DAG
 once. `rank` and the followup-frequency histogram read only the
 influencer counts, so they call `influencer_followup_counts`, which walks
 each DAG in reverse time order alone. A followup set holds its cells as
-runs: one (action, ascending followers) pair per action, in ascending
-action order. `compute_followup_set` derives one influencer's set on its
-own, by breadth-first search per action; it is the reference the batch is
-tested against.
+runs, and its one constructor takes them as such: one (action, ascending
+followers) pair per action, in ascending action order.
+`compute_followup_set` derives one influencer's set on its own, by
+breadth-first search per action; it is the reference the batch is tested
+against.
 """
 from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from itertools import chain, groupby
-from operator import itemgetter, lt
+from itertools import chain
+from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, NotFoundError, ParseError
@@ -151,33 +152,17 @@ def _column(values: Sequence[int]) -> Sequence[int]:
 class FollowupSet:
     """The cells of one influencer's followup set, densely numbered.
 
-    `runs` holds the cells as (action, followers) pairs in cell order, each
-    pair the cells of one action; cell ids are contiguous 0..n-1 in that
-    order. `cells` derives the id -> cell side table from them.
-    `actions_performed` keeps every action the influencer performed (not
-    just those with followups) so explanation annotations can report action
-    counts the way a marketer reads them.
-
-    `FollowupSet(influencer, cells, actions_performed)` takes the cells in
-    any order without duplicates, and groups consecutive cells of one action
-    into a run. `from_runs` takes the runs themselves.
+    `FollowupSet(influencer, runs, actions_performed)` takes the cells as
+    `runs`: (action, followers) pairs with the actions strictly ascending,
+    and each run's followers non-empty and strictly ascending, so that no
+    cell repeats. Cell ids are contiguous 0..n-1 in that order, and `cells`
+    derives the id -> cell side table from the runs. `actions_performed`
+    keeps every action the influencer performed (not just those with
+    followups) so explanation annotations can report action counts the way
+    a marketer reads them.
     """
 
-    def __init__(self, influencer: int, cells: Iterable[Cell], actions_performed: Iterable[str]):
-        cells = tuple(cells)
-        if len(set(cells)) != len(cells):
-            raise ValueError("duplicate cells in followup set")
-        follower = itemgetter(1)
-        runs = tuple((action, tuple(map(follower, group))) for action, group in groupby(cells, itemgetter(0)))
-        self._fill(influencer, runs, actions_performed)
-
-    @classmethod
-    def from_runs(
-        cls, influencer: int, runs: Iterable[tuple[str, Sequence[int]]], actions_performed: Iterable[str]
-    ) -> "FollowupSet":
-        """The set whose cells are `runs`: (action, followers) pairs with the
-        actions strictly ascending, and each run's followers non-empty and
-        strictly ascending, so that no cell repeats."""
+    def __init__(self, influencer: int, runs: Iterable[tuple[str, Sequence[int]]], actions_performed: Iterable[str]):
         runs = tuple(runs)
         actions = [action for action, _ in runs]
         if not all(map(lt, actions, actions[1:])):
@@ -185,11 +170,6 @@ class FollowupSet:
         for action, followers in runs:
             if not followers or not all(map(lt, followers, followers[1:])):
                 raise ValueError(f"followers of action {action!r} must be non-empty and strictly ascending")
-        fset = cls.__new__(cls)
-        fset._fill(influencer, runs, actions_performed)
-        return fset
-
-    def _fill(self, influencer: int, runs: tuple, actions_performed: Iterable[str]) -> None:
         self.influencer = influencer
         self.runs = runs
         self.actions_performed = tuple(actions_performed)
@@ -359,7 +339,7 @@ def compute_followup_set(
         seen.discard(influencer)
         if seen:
             runs.append((action, tuple(sorted(seen))))
-    return FollowupSet.from_runs(influencer, runs, performed)
+    return FollowupSet(influencer, runs, performed)
 
 
 class FollowupStats(NamedTuple):
@@ -476,7 +456,7 @@ def followup_sets(log: ActionLog, influencers: Sequence[int], arcs: dict[str, tu
                 runs[u].append((action, followers))
     arcs.clear()  # the rest are arcs of actions no listed influencer performed
     for u in order:
-        yield FollowupSet.from_runs(u, runs.pop(u), performed.pop(u))
+        yield FollowupSet(u, runs.pop(u), performed.pop(u))
 
 
 def _listed_reach(arcs: tuple, listed: set[int]) -> list[tuple[int, tuple[int, ...]]]:

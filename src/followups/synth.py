@@ -63,8 +63,10 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.taste_bias <= 0:
             raise ConfigError(f"taste_bias must be > 0, got {self.taste_bias}")
-        if self.follower_base < 0:
-            raise ConfigError(f"follower_base must be >= 0, got {self.follower_base}")
+        # The skews are power-law exponents: a large negative one overflows.
+        for name in ("follower_base", "follower_skew", "activity_skew", "genre_skew"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("cascade_base", "cascade_boost", "multi_genre_p"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -121,8 +123,9 @@ def write_dataset(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     # --- follow arcs: arc (u, v) means v follows u ------------------------
     followers: dict[int, set[int] | tuple[int, ...]] = {u: set() for u in users}
     for rank, hub in enumerate(hubs, start=1):
-        n_foll = max(5, int(config.users * config.follower_base * rank ** -config.follower_skew))
         pool = [u for u in users if u != hub]
+        # Capped at the pool before `int()`, which an infinite product would fail.
+        n_foll = max(5, int(min(len(pool), config.users * config.follower_base * rank ** -config.follower_skew)))
         for v in rng.sample(pool, min(n_foll, len(pool))):
             followers[hub].add(v)
     for hub in hubs:

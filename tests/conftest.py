@@ -385,6 +385,16 @@ def reference_pipeline(config: harness.RunConfig) -> dict[str, bytes]:
     return files
 
 
+def followup_set(influencer: int, cells, actions_performed) -> FollowupSet:
+    """The followup set of `cells`, given in any order: sorted into one run
+    per action, actions and followers ascending. A repeated cell stays in
+    its run, so `FollowupSet` rejects it."""
+    runs: dict[str, list[int]] = {}
+    for action, follower in cells:
+        runs.setdefault(action, []).append(follower)
+    return FollowupSet(influencer, ((a, tuple(sorted(runs[a]))) for a in sorted(runs)), actions_performed)
+
+
 def index_from_postings(postings: list[list[int]], n_cells: int | None = None) -> PredicateIndex:
     """Index whose predicate i has exactly the given posting list.
 
@@ -395,7 +405,7 @@ def index_from_postings(postings: list[list[int]], n_cells: int | None = None) -
     if n_cells is None:
         n_cells = max((c for pl in postings for c in pl), default=-1) + 1
     actions = [f"c{c:03d}" for c in range(n_cells)]
-    fset = FollowupSet(1, (Cell(a, 2) for a in actions), actions)
+    fset = followup_set(1, (Cell(a, 2) for a in actions), actions)
     action_attrs = AttributeTable(ACTION)
     for i, posting in enumerate(postings):
         if not posting:
@@ -422,7 +432,7 @@ def random_attribute_instance(rng: random.Random, max_cells: int = 300, max_pred
     cells = cells[:max_cells]
     if not cells:
         cells = [Cell(actions[0], followers[0])]
-    fset = FollowupSet(1, cells, actions)
+    fset = followup_set(1, cells, actions)
 
     user_attrs = AttributeTable(USER)
     action_attrs = AttributeTable(ACTION)

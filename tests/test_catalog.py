@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import reference_predicate_index, scan_annotation
+from conftest import followup_set, reference_predicate_index, scan_annotation
 from test_index_oracle import fill_table, random_bins
 
 from followups import harness
@@ -50,8 +50,9 @@ def random_run(rng: random.Random, big: bool):
 
 def random_fset(rng: random.Random, users, actions, big: bool) -> FollowupSet:
     """One influencer's followup set over the run's users and actions: empty
-    now and then, above BIG cells when `big`, and sometimes shuffled so one
-    action's cells form several runs."""
+    now and then, and above BIG cells when `big`. The cells' occasional
+    shuffle is sorted back by `followup_set`; it is kept so that later
+    draws stay as they were."""
     influencer = rng.choice(users)
     if big:
         performed = list(actions)
@@ -64,7 +65,7 @@ def random_fset(rng: random.Random, users, actions, big: bool) -> FollowupSet:
     cells = [Cell(a, v) for a in sorted(performed) for v in sorted(followers) if rng.random() < density]
     if rng.random() < 0.15:
         rng.shuffle(cells)
-    return FollowupSet(influencer, cells, performed)
+    return followup_set(influencer, cells, performed)
 
 
 def test_shared_catalog_matches_per_cell_oracles():

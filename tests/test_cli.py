@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from followups import harness
-from followups.cli import _config_from_args, build_parser, main
+from followups.cli import _GEN_OPTIONS, _config_from_args, build_parser, main
 from followups.errors import ConfigError, ResourceLimitError
 from followups.synth import SynthConfig, write_dataset
 
@@ -235,6 +235,7 @@ def test_gen_bad_generator_settings_are_config_errors(tmp_path, capsys, flag, va
         {"noise_performers": -1},
         {"multi_genre_p": 1.5},
         {"multi_genre_p": -0.1},
+        {"genre_skew": -1.0},
     ],
 )
 def test_synth_config_rejects_bad_settings(fields):
@@ -303,7 +304,7 @@ def test_non_finite_numeric_attribute_is_parse_error(tmp_path, capsys, value):
     assert not list(out.glob("*"))
 
 
-@pytest.mark.parametrize("boundary", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("boundary", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")])
 def test_non_finite_bin_boundary_is_parse_error(tmp_path, capsys, boundary):
     files = write_chain(tmp_path)
     files["user_attrs"].write_text("#numeric: age\n2\tage\t30\n3\tage\t40\n")
@@ -477,6 +478,12 @@ def test_render_mistyped_field_names_the_file(tmp_path, capsys, field, value, me
         ("total_coverage", float("nan"), "the document: 'total_coverage' is not finite"),
         ("total_followups", float("inf"), "the document: 'total_followups' is not finite"),
         ("total_followups", -2, "the document: 'total_followups' is negative"),
+        pytest.param(
+            "total_followups", 10**400, "the document: 'total_followups' is out of range", id="total_followups-1e400"
+        ),
+        pytest.param(
+            "total_coverage", 10**400, "the document: 'total_coverage' is out of range", id="total_coverage-1e400"
+        ),
         ("total_coverage", -0.5, "the document: 'total_coverage' is negative"),
         ("followups", -5, "explanation 0: 'followups' is negative"),
         ("actions", -1, "explanation 0: 'actions' is negative"),
@@ -613,3 +620,23 @@ def test_int_options_exit_cleanly(tmp_path, capsys, fuzz_dataset, command, optio
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3)
+
+
+# `gen`'s size options (users, actions, genres) are left out: each allocates in
+# proportion to its value.
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        (name, value)
+        for name, type_ in _GEN_OPTIONS.items()
+        if type_ is float
+        for value in ("0", "-1", "2", "1e308", "-1e308", "nan", "inf")
+    ],
+)
+def test_gen_float_options_exit_cleanly(tmp_path, capsys, option, value):
+    """Every float option of `gen` at 0, -1, 2, +-1e308, nan and inf exits 0 or 2 with no exception."""
+    argv = ["gen", "--out", str(tmp_path), "--users", "60", "--actions", "10", "--hubs", "3"]
+    code = main([*argv, f"--{option.replace('_', '-')}={value}"])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err

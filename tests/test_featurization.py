@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import postings_of, reference_bin_numeric_attribute, reference_predicate_index
+from conftest import followup_set, postings_of, reference_bin_numeric_attribute, reference_predicate_index
 
 from followups.errors import ConfigError, ParseError
 from followups.featurization import (
@@ -192,7 +192,7 @@ def test_bin_spec_validation():
 # --- predicate index --------------------------------------------------------
 
 def small_fset() -> FollowupSet:
-    return FollowupSet(1, [Cell("a", 2)], ["a"])
+    return followup_set(1, [Cell("a", 2)], ["a"])
 
 
 def test_index_single_cell_two_predicates():
@@ -206,7 +206,7 @@ def test_index_single_cell_two_predicates():
 
 
 def test_index_single_valued_attribute_partitions():
-    fset = FollowupSet(1, [Cell("a", 2), Cell("a", 3)], ["a"])
+    fset = followup_set(1, [Cell("a", 2), Cell("a", 3)], ["a"])
     user_attrs = AttributeTable(USER)
     user_attrs.add(2, "gender", "male")
     user_attrs.add(3, "gender", "female")
@@ -220,7 +220,7 @@ def test_index_single_valued_attribute_partitions():
 
 
 def test_index_missing_attributes_and_empty_postings_dropped():
-    fset = FollowupSet(1, [Cell("a", 2), Cell("b", 3)], ["a", "b"])
+    fset = followup_set(1, [Cell("a", 2), Cell("b", 3)], ["a", "b"])
     user_attrs = AttributeTable(USER)  # nobody has attributes
     action_attrs = AttributeTable(ACTION)
     action_attrs.add("a", "genre", "comedy")
@@ -247,7 +247,7 @@ def test_index_numeric_binning_applied():
 
 
 def test_index_influencer_target():
-    fset = FollowupSet(1, [Cell("a", 2)], ["a"])
+    fset = followup_set(1, [Cell("a", 2)], ["a"])
     user_attrs = AttributeTable(USER)
     user_attrs.add(1, "gender", "female")
     user_attrs.add(2, "gender", "male")
@@ -273,7 +273,7 @@ def test_index_round_trip_and_scan_oracle(seed, rng):
 
 
 def test_popularity_orders_by_size_then_id():
-    fset = FollowupSet(1, [Cell("a", 2), Cell("b", 2)], ["a", "b"])
+    fset = followup_set(1, [Cell("a", 2), Cell("b", 2)], ["a", "b"])
     action_attrs = AttributeTable(ACTION)
     action_attrs.add("a", "g", "x")
     action_attrs.add("b", "g", "x")

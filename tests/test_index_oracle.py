@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import reference_predicate_index, scan_annotation
+from conftest import followup_set, reference_predicate_index, scan_annotation
 
 from followups.featurization import (
     ACTION,
@@ -17,7 +17,7 @@ from followups.featurization import (
     build_predicate_index,
     default_bin_labels,
 )
-from followups.ingestion import Cell, FollowupSet
+from followups.ingestion import Cell
 from followups.miner import Explanation, annotate, covered_bits, mine_explanations
 
 INSTANCES = 240
@@ -50,9 +50,10 @@ def random_index_inputs(rng: random.Random):
     """A followup set with its attribute tables, bins and target.
 
     Tables cover only some of the set's entities and also hold entities
-    outside it. Cells are mostly in (action, follower) order, as
-    `compute_followup_set` numbers them, and sometimes shuffled so one
-    action's cells form several runs. Some sets are empty.
+    outside it. Cells are numbered in (action, follower) order, as
+    `compute_followup_set` numbers them; the shuffle they sometimes get is
+    sorted back by `followup_set`, and kept so that later draws stay as
+    they were. Some sets are empty.
     """
     influencer = 1
     followers = list(range(2, 2 + rng.randint(1, 12)))
@@ -63,7 +64,7 @@ def random_index_inputs(rng: random.Random):
         cells = []
     elif rng.random() < 0.2:
         rng.shuffle(cells)
-    fset = FollowupSet(influencer, cells, actions)
+    fset = followup_set(influencer, cells, actions)
 
     user_numeric, action_numeric = rng.random() < 0.5, rng.random() < 0.5
     user_attrs = AttributeTable(USER, numeric=("n",) if user_numeric else ())

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from conftest import followup_set
 
 from followups.errors import ConfigError, NotFoundError, ParseError
 from followups.ingestion import (
@@ -378,16 +379,13 @@ def test_global_stats_keeps_arcs():
 )
 def test_from_runs_rejects_unordered_or_repeated_cells(runs):
     with pytest.raises(ValueError):
-        FollowupSet.from_runs(1, runs, ["a", "b"])
-
-
-def test_cells_constructor_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        FollowupSet(1, [Cell("a", 2), Cell("b", 3), Cell("a", 2)], ["a", "b"])
+        FollowupSet(1, runs, ["a", "b"])
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_from_runs_equals_cells_constructor(seed):
+    """`FollowupSet` over runs and the tests' `followup_set` over the same
+    cells in any order give the same set."""
     rng = random.Random(seed)
     actions = [f"a{i:02d}" for i in range(rng.randint(0, 8))]
     followers = range(2, rng.randint(3, 12))
@@ -399,9 +397,9 @@ def test_from_runs_equals_cells_constructor(seed):
         else:
             runs.append((cell.action, [cell.follower]))
     runs = tuple((a, tuple(vs)) for a, vs in runs)
-    by_runs = FollowupSet.from_runs(1, runs, actions)
-    by_cells = FollowupSet(1, cells, actions)
-    for fset in (by_runs, by_cells):
+    shuffled = list(cells)
+    rng.shuffle(shuffled)
+    for fset in (FollowupSet(1, runs, actions), followup_set(1, shuffled, actions)):
         assert fset.runs == runs
         assert fset.cells == tuple(cells)
         assert len(fset) == len(cells)

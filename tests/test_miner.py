@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import index_from_postings, postings_of, random_attribute_instance, scan_annotation
+from conftest import followup_set, index_from_postings, postings_of, random_attribute_instance, scan_annotation
 
 from followups.featurization import ACTION, USER, AttributeTable, build_predicate_index
 from followups.ingestion import Cell, FollowupSet
@@ -268,7 +268,7 @@ def test_bookkeeping_identities(seed):
 def demo_instance():
     """Two actions x two followers with gendered followers and genre'd actions."""
     cells = [Cell("a", 2), Cell("a", 3), Cell("b", 2), Cell("b", 3)]
-    fset = FollowupSet(1, cells, ["a", "b", "c"])  # c got no followups
+    fset = followup_set(1, cells, ["a", "b", "c"])  # c got no followups
     user_attrs = AttributeTable(USER)
     user_attrs.add(2, "gender", "male")
     user_attrs.add(3, "gender", "female")
