@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError, ResourceLimitError
 from .featurization import PredicateIndex, predicate_popularity
-from .miner import Explanation, ExplanationSet, _finish, _first, covered_bits
+from .miner import Explanation, ExplanationSet, _first, covered_bits
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -63,9 +63,7 @@ def random_explanations(index: PredicateIndex, l: int, seed: int) -> Iterator[Ex
 def random_baseline(index: PredicateIndex, k: int, l: int, seed: int) -> ExplanationSet:
     """k explanations of l distinct predicates each, drawn with probability
     proportional to their cell counts. Fully determined by the seed."""
-    eset = _first(index, random_explanations(index, l, seed), k, l, "random")
-    eset.seed = seed
-    return eset
+    return ExplanationSet(_first(random_explanations(index, l, seed), k, l), index.n_cells, "random", seed)
 
 
 def most_popular_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
@@ -82,9 +80,9 @@ def most_popular_explanations(index: PredicateIndex, l: int) -> Iterator[Explana
 def most_popular_baseline(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     """The first k explanations of `most_popular_explanations`. A catalog
     smaller than k*l truncates the tail and flags the output."""
-    eset = _first(index, most_popular_explanations(index, l), k, l, "most-popular")
-    eset.truncated = len(eset.explanations) < k or any(len(e.predicates) < l for e in eset.explanations)
-    return eset
+    explanations = _first(most_popular_explanations(index, l), k, l)
+    truncated = len(explanations) < k or any(len(e.predicates) < l for e in explanations)
+    return ExplanationSet(explanations, index.n_cells, "most-popular", truncated=truncated)
 
 
 def nominal_combination_count(index: PredicateIndex, l: int, unmarked: int | None = None) -> int:
@@ -156,7 +154,7 @@ def exhaustive_baseline(
 ) -> ExplanationSet:
     """The first k explanations of `exhaustive_explanations`: per iteration,
     the l-predicate combination with the largest marginal coverage."""
-    return _first(index, exhaustive_explanations(index, l, node_budget), k, l, "exhaustive")
+    return ExplanationSet(_first(exhaustive_explanations(index, l, node_budget), k, l), index.n_cells, "exhaustive")
 
 
 def brute_force_oracle(
@@ -200,4 +198,4 @@ def brute_force_oracle(
     for combo in best:
         expl, unmarked = _make_explanation(index, combo, unmarked)
         explanations.append(expl)
-    return best_cov, _finish(index, explanations, "oracle")
+    return best_cov, ExplanationSet(explanations, index.n_cells, "oracle")

@@ -212,7 +212,7 @@ def _require_figures(obj: dict, keys: tuple[str, ...], what: str, path: Path) ->
 def _cmd_render(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a too-long int, or too deep nesting
         raise ParseError(f"{args.input}: not an explanation JSON document: {exc}") from None
     if not isinstance(doc, dict) or not doc.get("explanations"):
         raise ParseError(f"{args.input}: no explanations to render")

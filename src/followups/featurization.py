@@ -498,7 +498,7 @@ def bins_from_json(text: str) -> list[BinSpec]:
     """Bin specs from `bins_to_json` output; raises ParseError on anything else."""
     try:
         docs = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long int, or too deep nesting
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(docs, list):
         raise ParseError("expected a JSON list of bin specs")

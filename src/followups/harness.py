@@ -323,15 +323,13 @@ def _sweep_runs(
             yield _timed_run(config, algo, index, k, l)
         return
     stream = _STREAMS[algo](index, config.l, config.seed, config.node_budget)
-    union = taken = 0
+    prefix: list[miner.Explanation] = []
     millis = 0.0
     for k in values:
         t0 = time.perf_counter()
-        for expl in islice(stream, k - taken):
-            union |= expl.covered_bits
-            taken += 1
+        prefix.extend(islice(stream, k - len(prefix)))
         millis += (time.perf_counter() - t0) * 1000.0
-        yield (union.bit_count() / index.n_cells if index.n_cells else 0.0), millis
+        yield miner.ExplanationSet(prefix, index.n_cells).relative_coverage, millis
 
 
 def check_sweep_args(config: RunConfig, axis: str, values: Sequence[int], algos: Sequence[str]) -> None:

@@ -2,7 +2,10 @@
 reference greedy, and per-explanation annotation statistics.
 
 An explanation is a conjunction of predicates; its cells are the intersection
-of their cell bitsets. A set of explanations covers the union of their cells.
+of their cell bitsets. A set of explanations covers the union of their cells;
+`ExplanationSet` derives that union, its size and its share of the followup
+set from the explanations it is built with, so every algorithm's figures come
+from one formula.
 The miner greedily grows one explanation at a time, always appending the
 predicate with the largest marginal gain over the cells not yet covered by
 earlier explanations. The only state an explanation in progress needs is the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -66,26 +70,28 @@ class Explanation:
         )
 
 
+@dataclass
 class ExplanationSet:
-    """Up to k explanations with union-coverage bookkeeping."""
+    """Up to k explanations and the union coverage they derive: the bitset
+    of cells at least one covers, its size, and that size's share of the
+    followup set's `n_cells`. `algorithm`, `seed` and `truncated` tag a
+    baseline's run."""
 
-    def __init__(
-        self,
-        explanations: list[Explanation],
-        marked_bits: int,
-        total_coverage: int,
-        relative_coverage: float,
-        algorithm: str | None = None,
-        seed: int | None = None,
-        truncated: bool = False,
-    ):
-        self.explanations = explanations
-        self.marked_bits = marked_bits
-        self.total_coverage = total_coverage
-        self.relative_coverage = relative_coverage
-        self.algorithm = algorithm
-        self.seed = seed
-        self.truncated = truncated
+    explanations: list[Explanation]
+    n_cells: InitVar[int]
+    algorithm: str | None = None
+    seed: int | None = None
+    truncated: bool = False
+    marked_bits: int = field(init=False)
+    total_coverage: int = field(init=False)
+    relative_coverage: float = field(init=False)
+
+    def __post_init__(self, n_cells: int) -> None:
+        self.marked_bits = 0
+        for expl in self.explanations:
+            self.marked_bits |= expl.covered_bits
+        self.total_coverage = self.marked_bits.bit_count()
+        self.relative_coverage = self.total_coverage / n_cells if n_cells else 0.0
 
     @property
     def marked(self) -> tuple[int, ...]:
@@ -192,7 +198,7 @@ def mine_explanations(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     Stops early once no explanation can cover any unmarked cell; an empty
     catalog yields an empty set.
     """
-    return _first(index, greedy_explanations(index, l), k, l)
+    return ExplanationSet(_first(greedy_explanations(index, l), k, l), index.n_cells)
 
 
 def eager_explanations(index: PredicateIndex, l: int) -> Iterator[Explanation]:
@@ -234,7 +240,7 @@ def eager_greedy(index: PredicateIndex, k: int, l: int) -> ExplanationSet:
     results identical to `mine_explanations` under the shared tie-break
     (highest marginal, then lowest predicate id).
     """
-    return _first(index, eager_explanations(index, l), k, l)
+    return ExplanationSet(_first(eager_explanations(index, l), k, l), index.n_cells)
 
 
 def _bit_indices(bits: int) -> tuple[int, ...]:
@@ -246,28 +252,12 @@ def _bit_indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _finish(index: PredicateIndex, explanations: list[Explanation], algorithm: str | None = None) -> ExplanationSet:
-    union = 0
-    for expl in explanations:
-        union |= expl.covered_bits
-    total = union.bit_count()
-    return ExplanationSet(
-        explanations,
-        union,
-        total,
-        total / index.n_cells if index.n_cells else 0.0,
-        algorithm,
-    )
-
-
-def _first(
-    index: PredicateIndex, explanations: Iterator[Explanation], k: int, l: int, algorithm: str | None = None
-) -> ExplanationSet:
-    """The first `k` explanations of a stream, as a set tagged with
-    `algorithm`; `k` and the stream's `l` must both be >= 1."""
+def _first(explanations: Iterator[Explanation], k: int, l: int) -> list[Explanation]:
+    """The first `k` explanations of a stream; `k` and the stream's `l` must
+    both be >= 1."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    return _finish(index, list(islice(explanations, k)), algorithm)
+    return list(islice(explanations, k))
 
 
 def annotate(explanation: Explanation, index: PredicateIndex) -> Annotation:

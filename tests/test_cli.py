@@ -191,6 +191,13 @@ def run_error(argv, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
+# `json.loads` refuses these with a plain ValueError and a RecursionError
+UNLOADABLE_JSON = [
+    pytest.param("[" + "1" * 5001 + "]", id="5001-digit-int"),
+    pytest.param("[" * 100_000, id="deep-nesting"),
+]
+
+
 @pytest.mark.parametrize("flag", ["--users", "--hubs"])
 def test_gen_zero_sizes_are_config_errors(tmp_path, capsys, flag):
     code, err = run_error(["gen", "--out", str(tmp_path / "ds"), flag, "0"], capsys)
@@ -317,6 +324,19 @@ def test_non_finite_bin_boundary_is_parse_error(tmp_path, capsys, boundary):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("text", UNLOADABLE_JSON)
+def test_unloadable_bins_file_names_the_file(tmp_path, capsys, text):
+    files = write_chain(tmp_path)
+    bins = tmp_path / "bins.json"
+    bins.write_text(text)
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--bins", str(bins), "--top", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {bins}: invalid JSON: ")
+    assert "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 def test_nbins_zero_is_config_error(tmp_path, capsys):
     files = write_chain(tmp_path)
     code, err = run_error(["mine", *attr_args(files), "--nbins", "0", "--out", str(tmp_path / "out")], capsys)
@@ -402,7 +422,7 @@ def test_random_draws_within_budget_are_allowed():
         harness.require_random_draws(4, 3, 11)
 
 
-@pytest.mark.parametrize("text", ["", "not json {"])
+@pytest.mark.parametrize("text", ["", "not json {", *UNLOADABLE_JSON])
 def test_render_unreadable_input_names_the_file(tmp_path, capsys, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
