@@ -8,13 +8,24 @@ the only comparison the miner ever needs.
 A run builds one `PredicateCatalog` once its bins are resolved: every key
 the tables can produce gets an int id in sorted key order, and each
 entity's ids are computed once and shared by every influencer's index.
+
+`build_predicate_index` makes each predicate's cells one bitset without a
+loop over cells. Cells are numbered run by run, so an action predicate's
+bits are the OR of its runs' masks. On the user side, the distinct id-sets
+of the active followers are classes: one byte per cell holds its
+follower's class code, and a user predicate's bits are that code string
+translated to a base-2 numeral. The index keeps the classes, with their
+entity counts, for `miner.annotate`.
 """
 from __future__ import annotations
 
 import json
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ConfigError, ParseError
@@ -387,6 +398,13 @@ class PredicateIndex:
     never enter the index. A local pid is a position in `key_ids`, the
     ascending catalog ids of the index's predicates, so pids follow sorted
     key order; `predicates[pid]` is that id's key.
+
+    `action_classes` and `user_classes` map each distinct catalog id-set
+    among the set's entities to how many entities hold it: the performed
+    actions, and the active followers (under the influencer target, the
+    influencer's id-set stands for every active follower). `annotate`
+    counts entities per class from them. They are derived from the
+    catalog unless the builder passes them.
     """
 
     def __init__(
@@ -395,6 +413,7 @@ class PredicateIndex:
         catalog: PredicateCatalog,
         key_ids: tuple[int, ...],
         bits: tuple[int, ...],
+        classes: tuple[Counter, Counter] | None = None,
     ):
         self.followup_set = followup_set
         self.catalog = catalog
@@ -404,6 +423,7 @@ class PredicateIndex:
         self.n_cells = len(followup_set)
         self.n_predicates = len(key_ids)
         self.full_mask = (1 << self.n_cells) - 1
+        self.action_classes, self.user_classes = classes or _entity_classes(followup_set, catalog)
 
     def pid_of(self, dimension: str, attribute: str, value: str) -> int:
         gid = self.catalog.key_ids.get((dimension, attribute, value), -1)
@@ -411,6 +431,29 @@ class PredicateIndex:
         if pid == self.n_predicates or self.key_ids[pid] != gid:
             raise KeyError((dimension, attribute, value))
         return pid
+
+
+def _entity_classes(fset: FollowupSet, catalog: PredicateCatalog) -> tuple[Counter, Counter]:
+    """Each distinct id-set of `fset`'s performed actions and of its active
+    followers, with how many of them hold it, in first-seen order. Under
+    the influencer target the user side is the influencer's id-set,
+    counted once per active follower."""
+    action_ids, user_ids = catalog.entity_ids[ACTION], catalog.entity_ids[USER]
+    actions = Counter(map(action_ids.__getitem__, fset.actions_performed))
+    if catalog.target == TARGET_FOLLOWER:
+        return actions, Counter(map(user_ids.__getitem__, fset.active_followers))
+    return actions, Counter({user_ids[fset.influencer]: len(fset.active_followers)})
+
+
+# A predicate's bits are the OR of its runs' masks while it lies on at most
+# this many runs. Each OR copies the int built so far, so r runs cost
+# O(r * n) that way; a predicate on more runs is filled in a byte buffer
+# and converted once, O(n) whatever its number of runs, which keeps the
+# build linear in the cells.
+_MASK_RUNS = 256
+# A code byte names one of up to 255 follower classes of one group; 255
+# stands for a class of another group.
+_GROUP = 255
 
 
 def build_predicate_index(
@@ -430,58 +473,94 @@ def build_predicate_index(
     `build_predicate_index(fset, user_attrs, action_attrs, bins, target)`
     builds a catalog of those tables for this one call.
 
-    An entity's ids come from the catalog, computed once per run.
-    Each of `fset.runs` sets its action predicates' bits as one slice, and
-    each predicate's bitset is packed from a byte buffer in one conversion,
-    in time linear in the cells.
+    An entity's ids come from the catalog, computed once per run. Cells are
+    numbered in run order, so each run is one contiguous mask, ORed into
+    each of its action's ids. Each distinct id-set of the active followers
+    is a class: every cell gets its follower's class code, one byte, and a
+    user id's bits are that code string translated to a base-2 numeral.
+    Under the influencer target, each of the influencer's ids covers every
+    cell. The build is linear in the cells.
     """
     if not isinstance(catalog, PredicateCatalog):
         catalog = PredicateCatalog(catalog, action_attrs, bins, target)
     elif action_attrs is not None or bins or target != TARGET_FOLLOWER:
         raise TypeError("tables, bins and target come from the catalog")
     n = len(fset)
-    # Bit c of a bitset is character n-1-c of its base-2 numeral, so cell 0
-    # is the numeral's last character. Per catalog id: the numeral slices
-    # [start, stop) its action runs fill, and the numeral positions of its
-    # single cells.
-    slices: dict[int, list[tuple[int, int]]] = {}
-    singles: dict[int, list[int]] = {}
-    action_ids = catalog.entity_ids[ACTION]
-    for action in fset.actions_performed:
-        # annotate reads these ids too: compute any missing ones here, in the index build
-        action_ids[action]
-    by_follower = catalog.target == TARGET_FOLLOWER
-    positions: dict[int, list[int]] = {}
-    stop = n
+    action_classes, user_classes = _entity_classes(fset, catalog)
+    bits: dict[int, int] = {}
+    run_ids = catalog.entity_ids[ACTION]
+    if len(fset.runs) > _MASK_RUNS:
+        run_ids, dense = _dense_action_bits(fset, run_ids)
+        bits.update(dense)
+    start = 0
     for action, followers in fset.runs:
-        start = stop - len(followers)
-        for gid in action_ids[action]:
-            slices.setdefault(gid, []).append((start, stop))
-        if by_follower:
-            for pos, v in zip(range(stop - 1, start - 1, -1), followers):
-                positions.setdefault(v, []).append(pos)
-        stop = start
-    user_ids = catalog.entity_ids[USER]
-    if by_follower:
-        for v, cell_positions in positions.items():
-            for gid in user_ids[v]:
-                singles.setdefault(gid, []).extend(cell_positions)
+        m = len(followers)
+        ids = run_ids[action]
+        if ids:
+            mask = ((1 << m) - 1) << start
+            for gid in ids:
+                bits[gid] = bits.get(gid, 0) | mask
+        start += m
+    if catalog.target == TARGET_FOLLOWER:
+        bits.update(_follower_bits(fset, catalog.entity_ids[USER], list(user_classes)))
     elif n:
-        for gid in user_ids[fset.influencer]:
-            slices[gid] = [(0, n)]
+        bits.update(dict.fromkeys(catalog.entity_ids[USER][fset.influencer], (1 << n) - 1))
+    key_ids = tuple(sorted(bits))
+    bits_of = tuple(map(bits.__getitem__, key_ids))
+    return PredicateIndex(fset, catalog, key_ids, bits_of, (action_classes, user_classes))
 
-    key_ids = sorted(slices.keys() | singles.keys())
-    zeros = b"0" * n
-    ones = bytearray(b"1") * n
-    bits = []
-    for gid in key_ids:
-        buf = bytearray(zeros)
-        for lo, hi in slices.get(gid, ()):
-            buf[lo:hi] = ones[lo:hi]
-        for pos in singles.get(gid, ()):
-            buf[pos] = 49  # ord("1")
-        bits.append(int(buf, 2))
-    return PredicateIndex(fset, catalog, tuple(key_ids), tuple(bits))
+
+def _dense_action_bits(fset: FollowupSet, action_ids: Mapping) -> tuple[dict, dict[int, int]]:
+    """The action ids on more than `_MASK_RUNS` of `fset`'s runs, each
+    filled in a byte buffer. Returns the ids each run's action keeps for
+    the masks, and the bits of those dense ids."""
+    actions = [action for action, _ in fset.runs]
+    run_ids = list(map(action_ids.__getitem__, actions))
+    runs_of = Counter(chain.from_iterable(run_ids))
+    dense = frozenset(gid for gid, runs in runs_of.items() if runs > _MASK_RUNS)
+    # equal id-sets are one object in the catalog: split each once
+    split = {ids: (ids & dense, ids - dense) for ids in set(run_ids)}
+    n = len(fset)
+    ones = b"1" * n
+    bufs = {gid: bytearray(b"0") * n for gid in dense}
+    # bit c is character n-1-c of the base-2 numeral
+    stop = n
+    for ids, (_, followers) in zip(run_ids, fset.runs):
+        start = stop - len(followers)
+        for gid in split[ids][0]:
+            bufs[gid][start:stop] = ones[start:stop]
+        stop = start
+    sparse = {action: split[ids][1] for action, ids in zip(actions, run_ids)}
+    return sparse, {gid: int(buf, 2) for gid, buf in bufs.items()}
+
+
+def _follower_bits(fset: FollowupSet, user_ids: Mapping, classes: list[frozenset[int]]) -> dict[int, int]:
+    """The bits of every user id the active followers hold, by catalog id.
+
+    `classes` are the followers' distinct id-sets. Each group of up to 255
+    classes gets one code string, a byte per cell from the last cell to the
+    first, and a user id's bits are the OR over groups of that string
+    translated to a base-2 numeral.
+    """
+    active = fset.active_followers
+    cells = list(chain.from_iterable(map(itemgetter(1), fset.runs)))
+    bits: dict[int, int] = {}
+    for base in range(0, len(classes), _GROUP):
+        group = classes[base : base + _GROUP]
+        code = dict.fromkeys(classes, _GROUP)
+        code.update(zip(group, range(len(group))))
+        code_of = dict(zip(active, map(code.__getitem__, map(user_ids.__getitem__, active))))
+        codes = bytes(map(code_of.__getitem__, cells))[::-1]
+        tables: dict[int, bytearray] = {}
+        for c, ids in enumerate(group):
+            for gid in ids:
+                table = tables.get(gid)
+                if table is None:
+                    table = tables[gid] = bytearray(b"0") * 256
+                table[c] = 49  # ord("1")
+        for gid, table in tables.items():
+            bits[gid] = bits.get(gid, 0) | int(codes.translate(table), 2)
+    return bits
 
 
 def predicate_popularity(index: PredicateIndex) -> list[tuple[int, int]]:

@@ -198,8 +198,8 @@ def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
     are skipped; duplicate arcs collapse; self-arcs are rejected."""
     adj: dict[int, set[int]] = {}
     for lineno, raw in enumerate(lines, start=1):
-        # Fast path for a well-formed arc, as in `_log_rows`: whatever this
-        # accepts `_checked_arc` accepts with the same values.
+        # Fast path for a well-formed arc, as in `_log_rows`: it accepts
+        # every line `_checked_arc` would, so that only skips or rejects.
         parts = raw.split("\t")
         if len(parts) == 2:
             try:
@@ -214,26 +214,24 @@ def parse_social_graph(lines: Iterable[str]) -> SocialGraph:
                     else:
                         followers.add(v)
                     continue
-        arc = _checked_arc(raw, lineno)
-        if arc is not None:
-            adj.setdefault(arc[0], set()).add(arc[1])
+        _checked_arc(raw, lineno)
     return SocialGraph(adj)
 
 
-def _checked_arc(raw: str, lineno: int) -> tuple[int, int] | None:
-    """One graph line checked field by field: its arc, None for a blank or
-    comment line, or a ParseError naming the line."""
+def _checked_arc(raw: str, lineno: int) -> None:
+    """A graph line the fast path refused: returns for a blank or comment
+    line, and raises a ParseError naming the line otherwise. Two integer
+    fields reach the last check only as a self-arc, since the fast path
+    takes every other arc."""
     stripped = raw.strip()
     if not stripped or stripped.startswith("#"):
-        return None
+        return
     parts = _split_line(raw, lineno, 2)
     try:
         u, v = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer user id") from None
-    if u == v:
-        raise ParseError(f"line {lineno}: self-arc {u}->{v}")
-    return u, v
+    raise ParseError(f"line {lineno}: self-arc {u}->{v}")
 
 
 def parse_action_log(lines: Iterable[str]) -> ActionLog:
@@ -245,8 +243,8 @@ def parse_action_log(lines: Iterable[str]) -> ActionLog:
 def _log_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, int]]:
     for lineno, raw in enumerate(lines, start=1):
         # Fast path for a well-formed row. `int` ignores the line ending, and
-        # a blank or `#` line never has an integer first field, so whatever
-        # this accepts `_checked_log_row` accepts with the same values.
+        # a blank or `#` line never has an integer first field, so this
+        # accepts every line `_checked_log_row` would, with the same values.
         parts = raw.split("\t")
         if len(parts) == 3:
             user, action, time = parts
@@ -259,32 +257,29 @@ def _log_rows(lines: Iterable[str]) -> Iterator[tuple[int, str, int]]:
                 if action and time >= 0:
                     yield user, action, time
                     continue
-        row = _checked_log_row(raw, lineno)
-        if row is not None:
-            yield row
+        _checked_log_row(raw, lineno)
 
 
-def _checked_log_row(raw: str, lineno: int) -> tuple[int, str, int] | None:
-    """One action-log line checked field by field: its row, None for a blank
-    or comment line, or a ParseError naming the line."""
+def _checked_log_row(raw: str, lineno: int) -> None:
+    """An action-log line the fast path refused: returns for a blank or
+    comment line, and raises a ParseError naming the line otherwise. A row
+    whose fields all parse reaches the last check only with a negative
+    timestamp, since the fast path takes every other row."""
     stripped = raw.strip()
     if not stripped or stripped.startswith("#"):
-        return None
+        return
     parts = _split_line(raw, lineno, 3)
     try:
-        user = int(parts[0])
+        int(parts[0])
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer user id") from None
-    action = parts[1].strip()
-    if not action:
+    if not parts[1].strip():
         raise ParseError(f"line {lineno}: empty action id")
     try:
-        time = int(parts[2])
+        int(parts[2])
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer timestamp") from None
-    if time < 0:
-        raise ParseError(f"line {lineno}: negative timestamp")
-    return user, action, time
+    raise ParseError(f"line {lineno}: negative timestamp")
 
 
 def build_propagation_graph(

@@ -22,8 +22,12 @@ first and breaks ties by the lower predicate id, the tie-break the eager
 reference shares; predicate ids are unique, so the stamp never decides.
 
 `annotate` counts an explanation's actions and followers by testing its
-predicates' catalog ids against the ids the run's `PredicateCatalog`
-memoises for each entity.
+predicates' catalog ids against the index's entity classes: each distinct
+id-set of the performed actions and of the active followers, once, weighted
+by how many entities hold it. `explanation_set_json` writes the document's
+fixed schema directly: byte for byte what `json.dumps` writes for
+`explanation_set_doc`'s dict with `indent=2`, plus a newline. Library
+callers that want the dict still call `explanation_set_doc`.
 """
 from __future__ import annotations
 
@@ -31,9 +35,10 @@ import heapq
 import json
 from dataclasses import InitVar, dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .featurization import ACTION, USER, TARGET_FOLLOWER, PredicateIndex
+from .featurization import PredicateIndex
 
 
 class Annotation(NamedTuple):
@@ -267,21 +272,20 @@ def annotate(explanation: Explanation, index: PredicateIndex) -> Annotation:
 
     The two entity counts are independent of each other and of which cells
     the explanation actually covers. An entity satisfies the predicates when
-    their catalog ids are a subset of the ids the catalog memoises for it.
+    their catalog ids are a subset of its id-set, so entities are counted
+    once per class: per distinct id-set in the index's `action_classes` and
+    `user_classes`, weighted by how many entities hold it.
     """
-    fset = index.followup_set
-    catalog = index.catalog
-    action_ids, user_ids = catalog.entity_ids[ACTION], catalog.entity_ids[USER]
+    split = index.catalog.n_action_keys
     gids = [index.key_ids[pid] for pid in explanation.predicates]
-    action_need = frozenset(g for g in gids if g < catalog.n_action_keys)
-    user_need = frozenset(g for g in gids if g >= catalog.n_action_keys)
-    action_count = sum(1 for a in fset.actions_performed if action_need <= action_ids[a])
-    if catalog.target == TARGET_FOLLOWER:
-        follower_count = sum(1 for v in fset.active_followers if user_need <= user_ids[v])
-    else:
-        ok = user_need <= user_ids[fset.influencer]
-        follower_count = len(fset.active_followers) if ok else 0
-    return Annotation(action_count, follower_count, explanation.raw_coverage)
+    actions = _holders(frozenset(g for g in gids if g < split), index.action_classes)
+    followers = _holders(frozenset(g for g in gids if g >= split), index.user_classes)
+    return Annotation(actions, followers, explanation.raw_coverage)
+
+
+def _holders(need: frozenset[int], classes: Mapping[frozenset[int], int]) -> int:
+    """How many entities of `classes` (id-set -> entities) hold every id in `need`."""
+    return sum(count for ids, count in classes.items() if need <= ids)
 
 
 def explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
@@ -319,5 +323,37 @@ def explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
     return doc
 
 
+# `explanation_set_doc`'s schema as `json.dumps(_, indent=2)` lays it out.
+_PREDICATE = '        {\n          "dimension": %s,\n          "attribute": %s,\n          "value": %s\n        }'
+_ROW = '    {\n      "predicates": %s,\n      "actions": %r,\n      "followers": %r,\n      "followups": %r\n    }'
+_HEAD = '{\n  "influencer": %r,\n  "total_followups": %r,\n  "explanations": %s,\n  "total_coverage": %r,\n  "relative_coverage": %r'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def explanation_set_json(eset: ExplanationSet, index: PredicateIndex) -> bytes:
-    return (json.dumps(explanation_set_doc(eset, index), indent=2) + "\n").encode("utf-8")
+    """`json.dumps(explanation_set_doc(eset, index), indent=2) + "\\n"`,
+    UTF-8 encoded, written straight from the schema: the same bytes without
+    building the document. Strings go through `json`'s ASCII string
+    encoder, and ints and `relative_coverage` through `repr`, as `json.dumps`
+    writes them."""
+    keys = index.predicates
+    rows = []
+    for expl in eset.explanations:
+        note = annotate(expl, index)
+        predicates = [_PREDICATE % tuple(map(encode_basestring_ascii, keys[pid])) for pid in expl.predicates]
+        rows.append(_ROW % (_json_list(predicates, "      "), *note))
+    text = _HEAD % (
+        index.followup_set.influencer,
+        index.n_cells,
+        _json_list(rows, "  "),
+        eset.total_coverage,
+        eset.relative_coverage,
+    )
+    if eset.algorithm is not None:
+        text += f',\n  "algorithm": {json.dumps(eset.algorithm)},\n  "seed": {json.dumps(eset.seed)}'
+    if eset.truncated:
+        text += ',\n  "truncated": true'
+    return (text + "\n}\n").encode("utf-8")

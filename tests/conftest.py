@@ -2,8 +2,9 @@
 simple oracles the optimised layers are checked against: the per-line graph
 parser, the per-row action log parser, the per-line attribute table loader,
 the per-cell propagation pass, the quadratic minimax binning DP, the
-per-cell index build and `annotate`, the per-draw weighted sampling scan, the
-per-value sweep, and the pipeline composed of those oracles alone."""
+per-cell and byte-buffer index builds and `annotate`, the per-draw
+weighted sampling scan, the per-value sweep, and the pipeline composed of
+those oracles alone."""
 from __future__ import annotations
 
 import json
@@ -310,6 +311,51 @@ def reference_predicate_index(fset, user_attrs, action_attrs, bins=(), target=TA
         tuple(c for c, keys in enumerate(cell_keys) if key in keys) for key in catalog
     )
     return catalog, postings
+
+
+def buffer_predicate_index(fset, catalog: PredicateCatalog) -> PredicateIndex:
+    """The byte-buffer index build the run-mask and class-code build
+    replaced: per catalog id, the numeral slices its action runs fill and
+    the numeral positions of its follower cells, set in a buffer of n bytes
+    and packed by one `int(buf, 2)`."""
+    n = len(fset)
+    # Bit c of a bitset is character n-1-c of its base-2 numeral, so cell 0
+    # is the numeral's last character.
+    slices: dict[int, list[tuple[int, int]]] = {}
+    singles: dict[int, list[int]] = {}
+    action_ids = catalog.entity_ids[ACTION]
+    by_follower = catalog.target == TARGET_FOLLOWER
+    positions: dict[int, list[int]] = {}
+    stop = n
+    for action, followers in fset.runs:
+        start = stop - len(followers)
+        for gid in action_ids[action]:
+            slices.setdefault(gid, []).append((start, stop))
+        if by_follower:
+            for pos, v in zip(range(stop - 1, start - 1, -1), followers):
+                positions.setdefault(v, []).append(pos)
+        stop = start
+    user_ids = catalog.entity_ids[USER]
+    if by_follower:
+        for v, cell_positions in positions.items():
+            for gid in user_ids[v]:
+                singles.setdefault(gid, []).extend(cell_positions)
+    elif n:
+        for gid in user_ids[fset.influencer]:
+            slices[gid] = [(0, n)]
+
+    key_ids = sorted(slices.keys() | singles.keys())
+    zeros = b"0" * n
+    ones = bytearray(b"1") * n
+    bits = []
+    for gid in key_ids:
+        buf = bytearray(zeros)
+        for lo, hi in slices.get(gid, ()):
+            buf[lo:hi] = ones[lo:hi]
+        for pos in singles.get(gid, ()):
+            buf[pos] = 49  # ord("1")
+        bits.append(int(buf, 2))
+    return PredicateIndex(fset, catalog, tuple(key_ids), tuple(bits))
 
 
 def scan_annotation(expl, index) -> tuple[int, int, int]:

@@ -236,6 +236,12 @@ def test_oracle_guard_rails():
     assert cov == 6
 
 
+@pytest.mark.parametrize("k, l", [(0, 1), (1, 0)])
+def test_oracle_k_l_floor(k, l):
+    with pytest.raises(ValueError, match="^k and l must be >= 1$"):
+        brute_force_oracle(index_from_postings(CRAFTED), k, l)
+
+
 def test_oracle_witness_is_lexicographically_least():
     # two optimal singletons: predicates 0 and 1 cover the same two cells
     index = index_from_postings([[0, 1], [0, 1]])

@@ -14,6 +14,7 @@ import pytest
 from followups import harness
 from followups.cli import _GEN_OPTIONS, _config_from_args, build_parser, main
 from followups.errors import ConfigError, ResourceLimitError
+from followups.miner import explanation_set_doc
 from followups.synth import SynthConfig, write_dataset
 
 CHAIN_GRAPH = "1\t2\n2\t3\n"
@@ -520,6 +521,103 @@ def test_render_out_of_range_figure_names_the_file(tmp_path, capsys, field, valu
     code, err = run_error(["render", "--in", str(path)], capsys)
     assert code == 2
     assert f"{path}: {message}" in err
+
+
+def with_row(doc, **fields):
+    """`doc` with its one explanation row's fields replaced."""
+    return {**doc, "explanations": [{**doc["explanations"][0], **fields}]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda doc: [doc], "no explanations to render", id="document-not-an-object"),
+        pytest.param(lambda doc: {**doc, "explanations": []}, "no explanations to render", id="no-explanations"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "explanations"}, "no explanations to render",
+                     id="no-explanations-key"),
+        pytest.param(lambda doc: {**doc, "explanations": {"0": doc["explanations"][0]}}, "'explanations' is not a list",
+                     id="explanations-not-a-list"),
+        pytest.param(lambda doc: {**doc, "explanations": [1]}, "explanation 0 is not a JSON object",
+                     id="row-not-an-object"),
+        pytest.param(lambda doc: with_row(doc, predicates="gender=male"), "explanation 0: 'predicates' is not a list",
+                     id="predicates-not-a-list"),
+        pytest.param(lambda doc: with_row(doc, predicates=["gender=male"]),
+                     "a predicate of explanation 0 is not a JSON object", id="predicate-not-an-object"),
+    ],
+)
+def test_render_mis_shaped_document_names_the_file(tmp_path, capsys, edit, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(edit(valid_render_doc())))
+    code, err = run_error(["render", "--in", str(path)], capsys)
+    assert (code, err) == (2, f"error: {path}: {message}\n")
+
+
+def test_render_bad_display_mapping_is_config_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(valid_render_doc()))
+    code, err = run_error(["render", "--in", str(path), "--display", "age=Age,gender"], capsys)
+    assert (code, err) == (2, "error: bad display mapping 'gender'\n")
+
+
+def test_sweep_bad_values_are_config_error(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    code, err = run_error(
+        ["sweep", *attr_args(files), "--axis", "k", "--values", "1,two", "--out", str(tmp_path / "out")], capsys
+    )
+    assert (code, err) == (2, "error: bad sweep values '1,two'\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[1]", "bin spec must be an object, got 1", id="spec-not-an-object"),
+        pytest.param(
+            '[{"attribute": "year", "boundaries": ["2000"], "labels": ["old", "new"]}]',
+            "bin spec {'attribute': 'year', 'boundaries': ['2000'], 'labels': ['old', 'new']} "
+            "needs a string attribute, numeric boundaries and string labels",
+            id="spec-wrong-types",
+        ),
+        pytest.param('{"attribute": "year"}', "expected a JSON list of bin specs", id="not-a-list"),
+    ],
+)
+def test_mis_shaped_bins_file_names_the_file(tmp_path, capsys, text, message):
+    files = write_chain(tmp_path)
+    bins = tmp_path / "bins.json"
+    bins.write_text(text)
+    out = tmp_path / "out"
+    code, err = run_error(["mine", *attr_args(files), "--bins", str(bins), "--top", "1", "--out", str(out)], capsys)
+    assert (code, err) == (2, f"error: {bins}: {message}\n")
+    assert not list(out.glob("*"))
+
+
+def test_render_of_written_json_equals_render_of_the_document(tmp_path, capsys):
+    """`mine` writes its JSON without building the document; `render` reads
+    it back to the same table as the document `json.dumps` writes."""
+    files = write_chain(tmp_path)
+    files["user_attrs"].write_text('#numeric: age\n2\tgender\tmale\n3\tgender\tf\u00e9minin "\U0001f600"\n3\tage\t40\n')
+    files["action_attrs"].write_text("")
+    out = tmp_path / "mined"
+    assert main(["mine", *attr_args(files), "-k", "3", "-l", "2", "--nbins", "1", "--top", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    [written] = sorted(out.glob("explanations_*.json"))
+
+    user_attrs = harness.load_table(files["user_attrs"], "user")
+    action_attrs = harness.load_table(files["action_attrs"], "action")
+    bins = harness.bins_from_json((out / "bins.json").read_text())
+    fset = harness.compute_followup_set(harness.load_graph(files["graph"]), harness.load_log(files["actions"]), 1)
+    index = harness.build_predicate_index(fset, user_attrs, action_attrs, bins)
+    eset = harness.run_algorithm("greedy", index, 3, 2)
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps(explanation_set_doc(eset, index), indent=2) + "\n", encoding="utf-8")
+    assert written.read_bytes() == oracle.read_bytes()
+    assert "\\u00e9" in oracle.read_text(encoding="utf-8")
+
+    tables = []
+    for path in (written, oracle):
+        assert main(["render", "--in", str(path), "--display", "gender=Gender"]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert "féminin" in tables[0]
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

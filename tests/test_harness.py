@@ -12,7 +12,7 @@ import pytest
 
 from followups import baselines, harness, ingestion, miner
 from followups.errors import ConfigError, ResourceLimitError
-from followups.featurization import build_predicate_index
+from followups.featurization import ACTION, USER, AttributeTable, build_predicate_index
 from followups.harness import (
     RunConfig,
     median,
@@ -22,7 +22,7 @@ from followups.harness import (
     timing_report,
     write_sweep_csv,
 )
-from followups.ingestion import compute_followup_set, global_followup_stats
+from followups.ingestion import FollowupSet, compute_followup_set, global_followup_stats
 from followups.miner import mine_explanations
 from followups.synth import SynthConfig, write_dataset
 
@@ -51,6 +51,26 @@ def test_median_is_lower_median():
     assert median([4.0, 1.0]) == 1.0
     assert median([5.0, 1.0, 3.0]) == 3.0
     assert median([4.0, 2.0, 1.0, 3.0]) == 2.0
+
+
+def test_median_of_nothing_is_value_error():
+    with pytest.raises(ValueError, match="^median of empty sequence$"):
+        median([])
+
+
+def test_unknown_algorithm_is_config_error(tmp_path):
+    config = write_chain(tmp_path)
+    with pytest.raises(ConfigError, match="^unknown algorithm 'nope'$"):
+        replace(config, algo="nope").validate()
+    index = build_predicate_index(FollowupSet(1, [], []), AttributeTable(USER), AttributeTable(ACTION))
+    with pytest.raises(ConfigError, match="^unknown algorithm 'nope'$"):
+        harness.run_algorithm("nope", index, 1, 1)
+
+
+def test_pipeline_without_output_directory_is_config_error(tmp_path):
+    config = replace(write_chain(tmp_path), out_dir=None)
+    with pytest.raises(ConfigError, match="^pipeline needs an output directory$"):
+        run_pipeline(config)
 
 
 def test_pipeline_chain_full_coverage(tmp_path):

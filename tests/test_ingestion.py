@@ -55,6 +55,11 @@ def test_parse_graph_self_arc_rejected():
         graph_of("1\t1")
 
 
+def test_from_arcs_rejects_self_arc():
+    with pytest.raises(ValueError, match="^self-arc 3->3$"):
+        SocialGraph.from_arcs([(1, 2), (3, 3)])
+
+
 def test_parse_graph_bad_columns_and_ids():
     with pytest.raises(ParseError, match="line 2"):
         graph_of("1\t2\n1\t2\t3")
