@@ -102,7 +102,8 @@ class AttributeTable:
 
 
 def load_attribute_table(lines: Iterable[str], dimension: str) -> AttributeTable:
-    """Parse `entity<TAB>attribute<TAB>value` rows.
+    """Parse `entity<TAB>attribute<TAB>value` rows; an empty value is a
+    value like any other.
 
     A `#numeric: a,b` header (before any data row) declares which attributes
     are numeric. User-dimension entity ids must be integers.
@@ -111,20 +112,23 @@ def load_attribute_table(lines: Iterable[str], dimension: str) -> AttributeTable
     numeric: set[str] = set()
     saw_data = False
     for lineno, raw in enumerate(lines, start=1):
-        # Fast path for a well-formed row, as in `_log_rows`: whatever this
-        # accepts the checked path below accepts with the same values.
+        # Fast path for a data row: it takes every row the checks below
+        # would, with the same values, so they only skip a blank or `#`
+        # line, read a `#numeric:` header, or reject the line.
         parts = raw.split("\t")
         if len(parts) == 3:
             entity_raw, attribute, value = parts[0].strip(), parts[1].strip(), parts[2].strip()
-            if entity_raw and attribute and value and entity_raw[0] != "#":
+            if entity_raw and attribute and entity_raw[0] != "#":
                 try:
                     entity = int(entity_raw) if dimension == USER else entity_raw
                 except ValueError:
-                    pass
-                else:
-                    saw_data = True
-                    _add_row(table, entity, attribute, value, lineno)
-                    continue
+                    raise ParseError(f"line {lineno}: non-integer user id {entity_raw!r}") from None
+                saw_data = True
+                try:
+                    table.add(entity, attribute, value)
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+                continue
         stripped = raw.strip()
         if not stripped:
             continue
@@ -136,28 +140,11 @@ def load_attribute_table(lines: Iterable[str], dimension: str) -> AttributeTable
                 numeric.update(a.strip() for a in body[len("numeric:"):].split(",") if a.strip())
                 table.numeric = frozenset(numeric)
             continue
-        parts = raw.rstrip("\r\n").split("\t")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 tab-separated columns, got {len(parts)}")
-        entity_raw, attribute, value = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        if not entity_raw or not attribute:
-            raise ParseError(f"line {lineno}: empty entity or attribute")
-        entity: Hashable = entity_raw
-        if dimension == USER:
-            try:
-                entity = int(entity_raw)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer user id {entity_raw!r}") from None
-        saw_data = True
-        _add_row(table, entity, attribute, value, lineno)
+        # any three-field row with an entity and an attribute took the fast path
+        raise ParseError(f"line {lineno}: empty entity or attribute")
     return table
-
-
-def _add_row(table: AttributeTable, entity: Hashable, attribute: str, value: str, lineno: int) -> None:
-    try:
-        table.add(entity, attribute, value)
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -180,6 +167,8 @@ class BinSpec:
             raise ValueError("boundaries must be strictly increasing")
         if len(self.labels) != len(self.boundaries) + 1:
             raise ValueError("need exactly one label per bin")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("labels must be distinct")
 
     def bin_of(self, value: float) -> int:
         return bisect_left(self.boundaries, value)
@@ -220,7 +209,10 @@ class BinSpec:
 
 
 def _format_cut(x: float) -> str:
-    return f"{x:g}"
+    """`x` as `:g` writes it when that reads back as `x`, else its exact
+    `repr`: six significant digits would give two cuts one label."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def default_bin_labels(boundaries: tuple[float, ...]) -> tuple[str, ...]:
@@ -403,8 +395,8 @@ class PredicateIndex:
     among the set's entities to how many entities hold it: the performed
     actions, and the active followers (under the influencer target, the
     influencer's id-set stands for every active follower). `annotate`
-    counts entities per class from them. They are derived from the
-    catalog unless the builder passes them.
+    counts entities per class from them; the builder passes them as
+    `classes`.
     """
 
     def __init__(
@@ -413,7 +405,7 @@ class PredicateIndex:
         catalog: PredicateCatalog,
         key_ids: tuple[int, ...],
         bits: tuple[int, ...],
-        classes: tuple[Counter, Counter] | None = None,
+        classes: tuple[Counter, Counter],
     ):
         self.followup_set = followup_set
         self.catalog = catalog
@@ -423,7 +415,7 @@ class PredicateIndex:
         self.n_cells = len(followup_set)
         self.n_predicates = len(key_ids)
         self.full_mask = (1 << self.n_cells) - 1
-        self.action_classes, self.user_classes = classes or _entity_classes(followup_set, catalog)
+        self.action_classes, self.user_classes = classes
 
     def pid_of(self, dimension: str, attribute: str, value: str) -> int:
         gid = self.catalog.key_ids.get((dimension, attribute, value), -1)

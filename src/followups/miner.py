@@ -24,10 +24,9 @@ reference shares; predicate ids are unique, so the stamp never decides.
 `annotate` counts an explanation's actions and followers by testing its
 predicates' catalog ids against the index's entity classes: each distinct
 id-set of the performed actions and of the active followers, once, weighted
-by how many entities hold it. `explanation_set_json` writes the document's
-fixed schema directly: byte for byte what `json.dumps` writes for
-`explanation_set_doc`'s dict with `indent=2`, plus a newline. Library
-callers that want the dict still call `explanation_set_doc`.
+by how many entities hold it. `explanation_set_json` is the one writer of
+the explanation document, straight from its fixed schema; the dict
+`explanation_set_doc` returns is that file's bytes parsed back.
 """
 from __future__ import annotations
 
@@ -289,41 +288,11 @@ def _holders(need: frozenset[int], classes: Mapping[frozenset[int], int]) -> int
 
 
 def explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
-    """JSON-ready description of a mined explanation set."""
-    rows = []
-    for expl in eset.explanations:
-        note = annotate(expl, index)
-        rows.append(
-            {
-                "predicates": [
-                    {
-                        "dimension": index.predicates[pid].dimension,
-                        "attribute": index.predicates[pid].attribute,
-                        "value": index.predicates[pid].value,
-                    }
-                    for pid in expl.predicates
-                ],
-                "actions": note.actions,
-                "followers": note.followers,
-                "followups": note.followups,
-            }
-        )
-    doc = {
-        "influencer": index.followup_set.influencer,
-        "total_followups": index.n_cells,
-        "explanations": rows,
-        "total_coverage": eset.total_coverage,
-        "relative_coverage": eset.relative_coverage,
-    }
-    if eset.algorithm is not None:
-        doc["algorithm"] = eset.algorithm
-        doc["seed"] = eset.seed
-    if eset.truncated:
-        doc["truncated"] = True
-    return doc
+    """The document `explanation_set_json` writes, as a dict."""
+    return json.loads(explanation_set_json(eset, index))
 
 
-# `explanation_set_doc`'s schema as `json.dumps(_, indent=2)` lays it out.
+# The document's schema, laid out as `json.dumps(_, indent=2)` writes it.
 _PREDICATE = '        {\n          "dimension": %s,\n          "attribute": %s,\n          "value": %s\n        }'
 _ROW = '    {\n      "predicates": %s,\n      "actions": %r,\n      "followers": %r,\n      "followups": %r\n    }'
 _HEAD = '{\n  "influencer": %r,\n  "total_followups": %r,\n  "explanations": %s,\n  "total_coverage": %r,\n  "relative_coverage": %r'
@@ -334,11 +303,14 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def explanation_set_json(eset: ExplanationSet, index: PredicateIndex) -> bytes:
-    """`json.dumps(explanation_set_doc(eset, index), indent=2) + "\\n"`,
-    UTF-8 encoded, written straight from the schema: the same bytes without
-    building the document. Strings go through `json`'s ASCII string
-    encoder, and ints and `relative_coverage` through `repr`, as `json.dumps`
-    writes them."""
+    """The explanation document of `eset`, UTF-8 encoded: `influencer`,
+    `total_followups`, one row per explanation (its `predicates` as
+    `dimension`, `attribute` and `value`, then `annotate`'s `actions`,
+    `followers` and `followups`), `total_coverage`, `relative_coverage`, a
+    baseline's `algorithm` and `seed`, and `truncated` when set. Laid out
+    as `json.dumps(_, indent=2)` writes it, plus a newline: strings go
+    through `json`'s ASCII string encoder, ints and `relative_coverage`
+    through `repr`."""
     keys = index.predicates
     rows = []
     for expl in eset.explanations:

@@ -2,9 +2,9 @@
 simple oracles the optimised layers are checked against: the per-line graph
 parser, the per-row action log parser, the per-line attribute table loader,
 the per-cell propagation pass, the quadratic minimax binning DP, the
-per-cell and byte-buffer index builds and `annotate`, the per-draw
-weighted sampling scan, the per-value sweep, and the pipeline composed of
-those oracles alone."""
+per-cell and byte-buffer index builds and `annotate`, the explanation
+document built as a dict, the per-draw weighted sampling scan, the
+per-value sweep, and the pipeline composed of those oracles alone."""
 from __future__ import annotations
 
 import json
@@ -24,6 +24,7 @@ from followups.featurization import (
     BinSpec,
     PredicateCatalog,
     PredicateIndex,
+    _entity_classes,
     build_predicate_index,
     default_bin_labels,
 )
@@ -35,7 +36,7 @@ from followups.ingestion import (
     build_propagation_graph,
     compute_followup_set,
 )
-from followups.miner import eager_greedy
+from followups.miner import ExplanationSet, annotate, eager_greedy
 
 
 class ReferenceLog:
@@ -355,7 +356,7 @@ def buffer_predicate_index(fset, catalog: PredicateCatalog) -> PredicateIndex:
         for pos in singles.get(gid, ()):
             buf[pos] = 49  # ord("1")
         bits.append(int(buf, 2))
-    return PredicateIndex(fset, catalog, tuple(key_ids), tuple(bits))
+    return PredicateIndex(fset, catalog, tuple(key_ids), tuple(bits), _entity_classes(fset, catalog))
 
 
 def scan_annotation(expl, index) -> tuple[int, int, int]:
@@ -374,6 +375,43 @@ def scan_annotation(expl, index) -> tuple[int, int, int]:
     else:
         followers = len(fset.active_followers) if sat(catalog.user_attrs, fset.influencer, USER) else 0
     return actions, followers, expl.raw_coverage
+
+
+def reference_explanation_set_doc(eset: ExplanationSet, index: PredicateIndex) -> dict:
+    """The explanation document built as a dict, key by key: the oracle of
+    `explanation_set_json`, which writes `json.dumps(_, indent=2)` of it
+    plus a newline."""
+    rows = []
+    for expl in eset.explanations:
+        note = annotate(expl, index)
+        rows.append(
+            {
+                "predicates": [
+                    {
+                        "dimension": index.predicates[pid].dimension,
+                        "attribute": index.predicates[pid].attribute,
+                        "value": index.predicates[pid].value,
+                    }
+                    for pid in expl.predicates
+                ],
+                "actions": note.actions,
+                "followers": note.followers,
+                "followups": note.followups,
+            }
+        )
+    doc = {
+        "influencer": index.followup_set.influencer,
+        "total_followups": index.n_cells,
+        "explanations": rows,
+        "total_coverage": eset.total_coverage,
+        "relative_coverage": eset.relative_coverage,
+    }
+    if eset.algorithm is not None:
+        doc["algorithm"] = eset.algorithm
+        doc["seed"] = eset.seed
+    if eset.truncated:
+        doc["truncated"] = True
+    return doc
 
 
 def reference_pipeline(config: harness.RunConfig) -> dict[str, bytes]:
@@ -403,7 +441,8 @@ def reference_pipeline(config: harness.RunConfig) -> dict[str, bytes]:
         fset = compute_followup_set(graph, log, user, config.max_delay)
         keys, postings = reference_predicate_index(fset, user_attrs, action_attrs, bins, config.target)
         key_ids = tuple(catalog.key_ids[key] for key in keys)
-        index = PredicateIndex(fset, catalog, key_ids, tuple(sum(1 << c for c in p) for p in postings))
+        bits = tuple(sum(1 << c for c in p) for p in postings)
+        index = PredicateIndex(fset, catalog, key_ids, bits, _entity_classes(fset, catalog))
         eset = eager_greedy(index, config.k, config.l)
         rows = []
         for expl in eset.explanations:

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_explanation_set_doc
+
 from followups import harness
 from followups.cli import _GEN_OPTIONS, _config_from_args, build_parser, main
 from followups.errors import ConfigError, ResourceLimitError
-from followups.miner import explanation_set_doc
 from followups.synth import SynthConfig, write_dataset
 
 CHAIN_GRAPH = "1\t2\n2\t3\n"
@@ -85,6 +86,20 @@ def test_mine_baseline_render(tmp_path, capsys):
     table = tmp_path / "table.txt"
     assert main(["render", "--in", str(jpath), "--out", str(table)]) == 0
     assert "Total Coverage: 100.0%" in table.read_text()
+
+
+def test_mine_without_user_attrs_mines_action_predicates(tmp_path, capsys):
+    files = write_chain(tmp_path)
+    out = tmp_path / "mined"
+    inputs = ["--graph", str(files["graph"]), "--actions", str(files["actions"]), "--action-attrs", str(files["action_attrs"])]
+    assert main(["mine", *inputs, "-k", "2", "-l", "2", "--top", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    [jpath] = sorted(out.glob("explanations_*.json"))
+    doc = json.loads(jpath.read_text())
+    assert [row["predicates"] for row in doc["explanations"]] == [
+        [{"dimension": "action", "attribute": "genre", "value": "comedy"}]
+    ]
+    assert doc["relative_coverage"] == 1.0
 
 
 def test_sweep_cli(tmp_path, capsys):
@@ -244,6 +259,9 @@ def test_gen_bad_generator_settings_are_config_errors(tmp_path, capsys, flag, va
         {"multi_genre_p": 1.5},
         {"multi_genre_p": -0.1},
         {"genre_skew": -1.0},
+        {"genres": 1},
+        {"directors": 0},
+        {"writers": 0},
     ],
 )
 def test_synth_config_rejects_bad_settings(fields):
@@ -578,6 +596,11 @@ def test_sweep_bad_values_are_config_error(tmp_path, capsys):
             id="spec-wrong-types",
         ),
         pytest.param('{"attribute": "year"}', "expected a JSON list of bin specs", id="not-a-list"),
+        pytest.param(
+            '[{"attribute": "x", "boundaries": [1, 2], "labels": ["lo", "mid", "lo"]}]',
+            "bin spec for 'x': labels must be distinct",
+            id="repeated-label",
+        ),
     ],
 )
 def test_mis_shaped_bins_file_names_the_file(tmp_path, capsys, text, message):
@@ -608,7 +631,7 @@ def test_render_of_written_json_equals_render_of_the_document(tmp_path, capsys):
     index = harness.build_predicate_index(fset, user_attrs, action_attrs, bins)
     eset = harness.run_algorithm("greedy", index, 3, 2)
     oracle = tmp_path / "oracle.json"
-    oracle.write_text(json.dumps(explanation_set_doc(eset, index), indent=2) + "\n", encoding="utf-8")
+    oracle.write_text(json.dumps(reference_explanation_set_doc(eset, index), indent=2) + "\n", encoding="utf-8")
     assert written.read_bytes() == oracle.read_bytes()
     assert "\\u00e9" in oracle.read_text(encoding="utf-8")
 

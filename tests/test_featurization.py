@@ -21,6 +21,7 @@ from followups.featurization import (
     bins_from_json,
     bins_to_json,
     build_predicate_index,
+    default_bin_labels,
     load_attribute_table,
     predicate_popularity,
 )
@@ -75,6 +76,16 @@ def test_load_table_late_numeric_header_rejected():
         table_of("m1\tyear\t1995\n#numeric: year", ACTION)
 
 
+def test_load_table_empty_value_is_a_value():
+    t = table_of("m1\tgenre\t\nm1\tgenre\tdrama\n", ACTION)
+    assert t.values("m1", "genre") == ("", "drama")
+
+
+def test_attribute_table_dimension_is_checked():
+    with pytest.raises(ValueError, match="dimension must be one of"):
+        AttributeTable("bogus")
+
+
 # --- binning ---------------------------------------------------------------
 
 def minimax_by_exhaustion(weights: list[float], nbins: int) -> float:
@@ -99,6 +110,20 @@ def test_bin_labels_match_style():
     spec = bin_numeric_attribute("year", [(i, v) for i, v in enumerate([1990, 1997, 2000, 2005])], {i: 1 for i in range(4)}, 3)
     assert spec.labels[0].startswith("pre-")
     assert spec.labels[-1].endswith("+")
+
+
+def test_bin_labels_keep_close_cuts_apart():
+    """Cuts six significant digits cannot tell apart get exact labels, so
+    each bin keeps its own predicate; short cuts keep their `:g` form."""
+    values = [(i, 1_234_567_800 + 10 * i) for i in range(40)]
+    spec = bin_numeric_attribute("t", values, {i: 1 for i in range(40)}, 4)
+    assert spec.labels == (
+        "pre-1234567890.0",
+        "1234567890.0-1234567990.0",
+        "1234567990.0-1234568090.0",
+        "1234568090.0+",
+    )
+    assert default_bin_labels((1e-07, 18.0, 30.5)) == ("pre-1e-07", "1e-07-18", "18-30.5", "30.5+")
 
 
 def test_bin_errors():
@@ -187,6 +212,8 @@ def test_bin_spec_validation():
         bins_from_json('[{"attribute": "x", "boundaries": [1.0, NaN], "labels": ["a", "b", "c"]}]')
     with pytest.raises(ValueError):
         BinSpec("x", (1.0,), ("a",))
+    with pytest.raises(ParseError, match="^bin spec for 'x': labels must be distinct$"):
+        bins_from_json('[{"attribute": "x", "boundaries": [1.0, 2.0], "labels": ["a", "b", "a"]}]')
 
 
 # --- predicate index --------------------------------------------------------

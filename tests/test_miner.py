@@ -156,6 +156,7 @@ def test_next_explanation_single_predicate_marks_cells():
     assert expl.predicates == (0,)
     assert expl.covered_bits == 0b111
     assert expl.marginal_coverage == 3
+    assert repr(expl) == "Explanation(predicates=(0,), raw=3, marginal=3)"
 
 
 def test_next_explanation_crafted_first_iteration():
